@@ -4,15 +4,19 @@ Four classical estimators over a transformed (or raw) table, plus a
 rank-based latent correlation for zero-inflated counts that maps Kendall
 concordance through the Gaussian-copula bridge and projects the result to
 the positive semidefinite cone.
+
+The rank statistics are plain numpy. Kendall tau-b for all column pairs is
+one sign-product Gram matrix accumulated over samples, and Spearman uses
+average ranks of ties. Both give exactly the values of
+``scipy.stats.kendalltau(..., variant="b")`` and ``scipy.stats.rankdata``,
+so the package does not import scipy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import CountTable, TransformedTable, mclr_transform
 from .errors import EstimatorError
@@ -92,7 +96,7 @@ def correlation_matrix(table, method: str = "pearson") -> CorrelationMatrix:
     if method == "pearson":
         return _finalize(np.corrcoef(x, rowvar=False), method, taxa)
     if method == "spearman":
-        ranks = np.apply_along_axis(stats.rankdata, 0, x)
+        ranks = np.apply_along_axis(average_ranks, 0, x)
         return _finalize(np.corrcoef(ranks, rowvar=False), method, taxa)
     if method == "bicor":
         cols = np.column_stack([_bicor_prepare(x[:, j]) for j in range(x.shape[1])])
@@ -102,16 +106,44 @@ def correlation_matrix(table, method: str = "pearson") -> CorrelationMatrix:
     return _finalize(kendall_matrix(x), method, taxa)
 
 
+def average_ranks(col: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array; each block of tied values gets the
+    mean of the ordinal ranks it spans (scipy's ``rankdata`` "average")."""
+    order = np.argsort(col, kind="mergesort")
+    s = col[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[starts, len(s)])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def kendall_matrix(x: np.ndarray) -> np.ndarray:
-    """Tau-b over all column pairs (ties handled by the b-correction)."""
-    p = x.shape[1]
-    out = np.eye(p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            tau = stats.kendalltau(x[:, i], x[:, j], variant="b").statistic
-            if math.isnan(tau):
-                tau = 0.0
-            out[i, j] = out[j, i] = tau
+    """Tau-b over all column pairs (ties handled by the b-correction).
+
+    For each sample i the signs of ``x[j] - x[i]`` over the later samples j
+    form an (n-i-1, p) matrix S, and ``S.T @ S`` summed over i counts, for
+    columns a and b, concordant minus discordant pairs (off the diagonal)
+    and pairs not tied in a (on it). All sums are small integers, exact in
+    float64, and the b-correction divides by the two square roots in
+    scipy's order, so every entry equals ``kendalltau(x[:, a], x[:, b],
+    variant="b")`` exactly. A constant column, where scipy gives NaN, gets
+    0 off the diagonal.
+    """
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    acc = np.zeros((p, p))
+    for i in range(n - 1):
+        signs = np.sign(x[i + 1:] - x[i])
+        acc += signs.T @ signs
+    # a constant column has no untied pair and an all-zero row in acc, so
+    # dividing it by 1 leaves its tau at 0
+    root = np.sqrt(np.diag(acc))
+    root[root == 0] = 1.0
+    tau = np.clip(acc / root[:, None] / root[None, :], -1.0, 1.0)
+    out = np.triu(tau, 1)
+    out += out.T
+    np.fill_diagonal(out, 1.0)
     return out
 
 

@@ -20,8 +20,10 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     columns are left at zero so they simply never enter a model."""
     centered = x - x.mean(axis=0)
     sd = centered.std(axis=0)
-    sd = np.where(sd > 1e-12, sd, 1.0)
-    return centered / sd
+    flat = sd <= 1e-12
+    z = centered / np.where(flat, 1.0, sd)
+    z[:, flat] = 0.0
+    return z
 
 
 def _support_path(grams: np.ndarray, lambdas, tol: float = LASSO_TOL) -> np.ndarray:

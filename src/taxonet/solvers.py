@@ -294,13 +294,6 @@ def graphical_lasso(
     )
 
 
-def warm_up_kernels() -> None:
-    """Trigger jit compilation on a tiny problem (first-call latency)."""
-    v = np.eye(2)
-    b = np.array([0.5, -0.5])
-    lasso_from_gram(v, b, 0.1)
-
-
 def _glasso_batch_slice(s, lam, tol, max_iter, omega, converged, n_iter):
     """Solve one slice of :func:`graphical_lasso_batch` into the given
     output views."""

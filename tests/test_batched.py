@@ -104,12 +104,24 @@ def test_mb_path_matches_sequential_regressions(subsamples):
     x, subs = subsamples
     zs = [standardize_columns(s) for s in subs]
     grams = np.array([z.T @ z / z.shape[0] for z in zs])
-    assert grams[0, 3, 3] < 1e-24   # centering leaves rounding residue only
+    assert grams[0, 3, 3] == 0.0   # the constant column is immovable
     lams = lambda_path(safe_correlation(x), nlambda=6).values
     batched = mb_adjacency_path(grams, lams)
     for r, gram in enumerate(grams):
         np.testing.assert_array_equal(batched[r], sequential_mb_path(gram, lams))
     assert batched.any() and not batched.all()
+
+
+def test_constant_column_standardizes_to_exact_zeros(subsamples):
+    # centering fifteen 0.7 values alone leaves ~1e-16 rounding residue
+    _, subs = subsamples
+    assert np.ptp(subs[0][:, 3]) == 0.0
+    assert (subs[0][:, 3] - subs[0][:, 3].mean()).any()
+    z = standardize_columns(subs[0])
+    gram = z.T @ z / z.shape[0]
+    assert (z[:, 3] == 0.0).all()
+    assert (gram[3] == 0.0).all() and (gram[:, 3] == 0.0).all()
+    np.testing.assert_allclose(np.diag(gram)[[0, 1, 2, 4, 5]], 1.0)
 
 
 def test_glasso_batch_rejects_bad_input():

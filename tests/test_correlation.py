@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxonet
 from taxonet import (
     EstimatorError,
     correlation_matrix,
@@ -11,7 +16,7 @@ from taxonet import (
     nearest_psd_correlation,
     tau_bridge,
 )
-from taxonet.correlation import kendall_matrix, safe_correlation
+from taxonet.correlation import average_ranks, kendall_matrix, safe_correlation
 
 from conftest import make_table
 
@@ -108,18 +113,90 @@ class TestBicor:
         )
 
 
+def scipy_kendall(v):
+    """Reference tau-b matrix, one ``scipy.stats.kendalltau`` call per pair
+    with a NaN (constant column) read as 0."""
+    from scipy import stats
+
+    p = v.shape[1]
+    out = np.eye(p)
+    for i in range(p):
+        for j in range(i + 1, p):
+            tau = stats.kendalltau(v[:, i], v[:, j], variant="b").statistic
+            out[i, j] = out[j, i] = 0.0 if np.isnan(tau) else tau
+    return out
+
+
+def tie_heavy_integers(n):
+    return st.lists(
+        st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=n, max_size=n
+    ).map(lambda rows: np.array(rows, dtype=float))
+
+
+@st.composite
+def zero_heavy_mclr(draw):
+    n = draw(st.integers(4, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(1.5, size=(n, 6)) * (rng.random((n, 6)) < 0.5)
+    counts[:, 0] += 1 + rng.integers(0, 3, size=n)   # every sample keeps a nonzero
+    counts[0, 1:] = 0
+    return mclr_transform(make_table(counts)).values
+
+
 class TestKendall:
     def test_matches_scipy_pairwise(self, rng):
+        v = np.floor(rng.lognormal(1.0, 1.0, size=(15, 4)))
+        assert (kendall_matrix(v) == scipy_kendall(v)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 25).flatmap(tie_heavy_integers))
+    def test_tie_heavy_integers_exact(self, v):
+        assert (kendall_matrix(v) == scipy_kendall(v)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_heavy_mclr())
+    def test_zero_heavy_mclr_exact(self, v):
+        assert (v[0, 1:] == 0).all()   # mclr keeps zeros as ties at 0
+        assert (kendall_matrix(v) == scipy_kendall(v)).all()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tiny_samples_exact(self, n, rng):
+        for _ in range(20):
+            v = rng.integers(0, 3, size=(n, 5)).astype(float)
+            assert (kendall_matrix(v) == scipy_kendall(v)).all()
+
+    def test_constant_column_gives_zero(self, rng):
+        v = rng.normal(size=(12, 4))
+        v[:, 2] = 0.7
+        m = kendall_matrix(v)
+        assert (m[2, [0, 1, 3]] == 0.0).all() and (m[[0, 1, 3], 2] == 0.0).all()
+        assert m[2, 2] == 1.0
+        assert (m == scipy_kendall(v)).all()
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_matches_scipy_rankdata(self, values):
         from scipy import stats
 
-        v = np.floor(rng.lognormal(1.0, 1.0, size=(15, 4)))
-        m = kendall_matrix(v)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                expected = stats.kendalltau(v[:, i], v[:, j], variant="b").statistic
-                if np.isnan(expected):
-                    expected = 0.0
-                assert m[i, j] == pytest.approx(expected, abs=1e-12)
+        col = np.array(values, dtype=float)
+        assert (average_ranks(col) == stats.rankdata(col)).all()
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, taxonet.cli; "
+        "print(','.join(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = os.path.dirname(os.path.dirname(taxonet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == ""
 
 
 class TestPermutationEquivariance:
