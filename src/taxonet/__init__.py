@@ -74,7 +74,6 @@ from .methods import (
     method_seed,
     run_method,
 )
-from .neighborhood import mb_from_correlation, mb_neighborhood
 from .network import BinaryNetwork, MethodResult, network_from_mask
 from .pipeline import PipelineRun, load_consensus, run_pipeline
 from .render import fr_layout, render_hamming_heatmap, render_network_svg, render_threshold_panel

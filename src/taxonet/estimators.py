@@ -67,18 +67,30 @@ def _clr_matrix(table: CountTable, pseudo: float) -> np.ndarray:
     return clr_transform(to_composition(table, pseudo=pseudo)).values
 
 
-def _glasso_adjacency_path(s: np.ndarray, lams) -> np.ndarray:
-    """Off-diagonal supports of cold-started graphical-lasso fits for a
-    (R, p, p) stack of correlations at every penalty, as an (R, L, p, p)
-    boolean stack.  A single fit goes through the scalar solver, which is
-    the faster of the two for one problem."""
+def _glasso_adjacency(s: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
+    """Off-diagonal supports of cold-started graphical-lasso fits at one
+    penalty for a (R, p, p) stack of correlations, as an (R, p, p) boolean
+    stack, and the number of fits that did not converge.  A single fit goes
+    through the scalar solver, which is the faster of the two for one
+    problem."""
     r, p = s.shape[:2]
-    if r * len(lams) == 1:
-        omega = graphical_lasso(s[0], lams[0]).omega[None]
+    if r == 1:
+        est = graphical_lasso(s[0], lam)
+        omega, converged = est.omega[None], np.array([est.converged])
     else:
-        omega, _, _ = graphical_lasso_batch(np.repeat(s, len(lams), axis=0), np.tile(lams, r))
+        omega, converged, _ = graphical_lasso_batch(s, np.full(r, lam))
     mask = (omega != 0) & ~np.eye(p, dtype=bool)
-    return mask.reshape(r, len(lams), p, p)
+    return mask, int((~converged).sum())
+
+
+def _mb_adjacency_steps(grams: np.ndarray, lams, rule: str):
+    """Walk the neighborhood-selection path one penalty at a time, keeping
+    the warm starts between penalties, for :func:`stars_select`."""
+    r, p = grams.shape[:2]
+    betas = np.zeros((r * p, p))
+    for lam in lams:
+        adj, unconverged = mb_adjacency_path(grams, [lam], rule=rule, betas=betas)
+        yield adj[:, 0], unconverged
 
 
 def spieceasi_fit(
@@ -100,13 +112,15 @@ def spieceasi_fit(
     path = lambda_path(s, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio)
 
     if mode == "mb":
-        def fitter(subs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        def fitter(subs: np.ndarray, lams: np.ndarray):
             zs = [standardize_columns(rows) for rows in subs]
             grams = np.array([(z.T @ z) / z.shape[0] for z in zs])
-            return mb_adjacency_path(grams, lams, rule=params.rule)
+            yield from _mb_adjacency_steps(grams, lams, params.rule)
     else:
-        def fitter(subs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-            return _glasso_adjacency_path(np.array([safe_correlation(r) for r in subs]), lams)
+        def fitter(subs: np.ndarray, lams: np.ndarray):
+            corrs = np.array([safe_correlation(r) for r in subs])
+            for lam in lams:
+                yield _glasso_adjacency(corrs, lam)
 
     stars = stars_select(
         x,
@@ -129,6 +143,7 @@ def spieceasi_fit(
             "lambda_index": stars.lambda_index,
             "instability": stars.monotone_instability.tolist(),
             "threshold_met": stars.threshold_met,
+            "unconverged_fits": stars.unconverged_fits,
         },
     )
 
@@ -159,9 +174,9 @@ def spring_fit(table: CountTable, params: SpringParams | None = None) -> MethodR
         corr.values, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio
     )
 
-    def fitter(subs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    def fitter(subs: np.ndarray, lams: np.ndarray):
         corrs = np.array([_latent_corr_values(rows) for rows in subs])
-        return mb_adjacency_path(corrs, lams, rule=params.rule)
+        yield from _mb_adjacency_steps(corrs, lams, params.rule)
 
     stars = stars_select(
         table.values,
@@ -182,6 +197,7 @@ def spring_fit(table: CountTable, params: SpringParams | None = None) -> MethodR
             "lambda_index": stars.lambda_index,
             "instability": stars.monotone_instability.tolist(),
             "threshold_met": stars.threshold_met,
+            "unconverged_fits": stars.unconverged_fits,
         },
     )
 

@@ -1,9 +1,8 @@
 """Neighborhood selection: per-node lasso regressions combined into a graph.
 
-Two drivers share the same coordinate-descent core: one standardizes a data
-matrix and regresses each column on the rest, the other needs only a
-correlation matrix (sufficient statistics) and never touches sample-level
-data, the form used when the association matrix itself is the estimate.
+Each node is regressed on the rest through the gram (or correlation) matrix
+alone, so the same path serves standardized data and a correlation matrix
+that is itself the estimate.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EstimatorError
-from .network import BinaryNetwork, network_from_mask
 from .solvers import LASSO_MAX_SWEEPS, LASSO_TOL, _cd_gram_batch
 
 
@@ -26,36 +24,36 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _support_path(grams: np.ndarray, lambdas, tol: float = LASSO_TOL) -> np.ndarray:
+def _support_path(grams: np.ndarray, lambdas, betas=None):
     """Directed supports along a penalty path (descending lam) for a
     (R, p, p) stack of grams, as an (R, L, p, p) boolean stack whose entry
     (r, k, j, i) is set when variable i has a nonzero coefficient in the
-    regression for node j.
+    regression for node j, and the number of regressions that stopped at
+    ``LASSO_MAX_SWEEPS``.
 
     All R * p node regressions are solved together by the batched kernel,
     each against its full gram with its own coordinate pinned by an
-    infinite penalty, and warm-started from the previous penalty.
+    infinite penalty, and warm-started from the previous penalty.  ``betas``
+    is the (R * p, p) coefficient stack to start from, updated in place, so
+    that a path walked in several calls is solved as in one.
     """
     grams = np.asarray(grams, dtype=float)
     r, p = grams.shape[:2]
     group = np.repeat(np.arange(r), p)
     targets = np.swapaxes(grams, 1, 2).reshape(r * p, p)   # row (i, j): gram i, column j
     pinned = np.tile(np.eye(p, dtype=bool), (r, 1))
-    betas = np.zeros((r * p, p))
+    if betas is None:
+        betas = np.zeros((r * p, p))
     out = np.zeros((r, len(lambdas), p, p), dtype=bool)
+    unconverged = 0
     for k, lam in enumerate(lambdas):
         pen = np.where(pinned, np.inf, float(lam))
-        _cd_gram_batch(grams, targets, betas, pen, tol, LASSO_MAX_SWEEPS, group=group)
+        sweeps = _cd_gram_batch(
+            grams, targets, betas, pen, LASSO_TOL, LASSO_MAX_SWEEPS, group=group
+        )
+        unconverged += int((sweeps >= LASSO_MAX_SWEEPS).sum())
         out[:, k] = (betas != 0.0).reshape(r, p, p)
-    return out
-
-
-def neighborhood_supports(
-    gram: np.ndarray, lam: float, tol: float = LASSO_TOL
-) -> np.ndarray:
-    """Boolean support matrix: entry (j, i) set when variable i has a
-    nonzero coefficient in the regression for node j."""
-    return _support_path(np.asarray(gram, dtype=float)[None], [lam], tol)[0, 0]
+    return out, unconverged
 
 
 def combine_supports(support: np.ndarray, rule: str) -> np.ndarray:
@@ -69,48 +67,14 @@ def combine_supports(support: np.ndarray, rule: str) -> np.ndarray:
     raise EstimatorError(f"unknown combination rule {rule!r}")
 
 
-def mb_neighborhood(
-    x: np.ndarray, lam: float, rule: str = "or", taxa=None
-) -> BinaryNetwork:
-    """Meinshausen-Buhlmann selection on a data matrix.
-
-    Columns are standardized internally; each node is lasso-regressed on
-    the rest at penalty ``lam`` and the supports are combined by the OR
-    (default) or AND rule.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise EstimatorError("need a 2-d matrix with at least 2 rows")
-    z = standardize_columns(x)
-    gram = (z.T @ z) / z.shape[0]
-    support = neighborhood_supports(gram, lam)
-    adj = combine_supports(support, rule)
-    labels = taxa if taxa is not None else [f"V{i}" for i in range(x.shape[1])]
-    return network_from_mask(
-        adj, labels, provenance={"method": "mb", "lambda": float(lam), "rule": rule}
-    )
-
-
-def mb_from_correlation(
-    corr: np.ndarray, lam: float, rule: str = "or", taxa=None
-) -> BinaryNetwork:
-    """Neighborhood selection driven entirely by a correlation matrix."""
-    corr = np.asarray(corr, dtype=float)
-    support = neighborhood_supports(corr, lam)
-    adj = combine_supports(support, rule)
-    labels = taxa if taxa is not None else [f"V{i}" for i in range(corr.shape[0])]
-    return network_from_mask(
-        adj,
-        labels,
-        provenance={"method": "mb_corr", "lambda": float(lam), "rule": rule},
-    )
-
-
-def mb_adjacency_path(grams: np.ndarray, lambdas, rule: str = "or") -> np.ndarray:
+def mb_adjacency_path(grams: np.ndarray, lambdas, rule: str = "or", betas=None):
     """Adjacency matrices along a penalty path (descending lam) for a
-    (R, p, p) stack of grams, as an (R, L, p, p) boolean stack; each
-    replicate's regressions are warm-started along the path."""
-    adj = combine_supports(_support_path(grams, lambdas), rule)
+    (R, p, p) stack of grams, as an (R, L, p, p) boolean stack, and the
+    number of node regressions that stopped at their sweep limit.  Each
+    replicate's regressions are warm-started along the path; passing the
+    same (R * p, p) ``betas`` to consecutive calls continues the path."""
+    support, unconverged = _support_path(grams, lambdas, betas)
+    adj = combine_supports(support, rule)
     p = adj.shape[-1]
     adj[..., np.arange(p), np.arange(p)] = False
-    return adj
+    return adj, unconverged

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .solvers import graphical_lasso
 DEFAULT_NLAMBDA = 15
 DEFAULT_BETA_THRESHOLD = 0.1
 DEFAULT_REP_NUM = 20
+
+log = logging.getLogger("taxonet")
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,16 @@ class StarsResult:
     instability: np.ndarray
     monotone_instability: np.ndarray
     threshold_met: bool
+    unconverged_fits: int
 
 
 # a fitter maps an (R, m, p) stack of row subsamples and descending
-# penalties to an (R, L, p, p) stack of boolean adjacency matrices, one per
-# subsample and penalty
-PathFitter = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# penalties to an iterable that walks the path one penalty at a time: for
+# each penalty, in order, an (R, p, p) stack of boolean adjacency matrices
+# (one per subsample) and the number of fits at that penalty that stopped at
+# their iteration limit.  It should do a penalty's work only when that
+# penalty is drawn: stars_select stops drawing after the first unstable one.
+PathFitter = Callable[[np.ndarray, np.ndarray], Iterable[tuple[np.ndarray, int]]]
 
 
 def stars_select(
@@ -98,14 +105,20 @@ def stars_select(
     """Stability-based penalty selection over row subsamples.
 
     All ``rep_num`` subsamples go to ``fitter`` in one call, so that it can
-    solve them together; the full-data refit at the selected penalty is a
-    second call with a stack of one.
+    solve them together one penalty at a time; the full-data refit at the
+    selected penalty is a second call with a stack of one.
 
     Edge instability at each penalty is the mean over node pairs of
     2*f*(1-f), f being the selection frequency across subsamples; the curve
     is made monotone from the sparse end and the densest penalty with
-    instability at or below the threshold is kept.  When nothing passes,
-    the most stable penalty is returned flagged.
+    instability at or below the threshold is kept.  The path is walked from
+    the sparse end and left after the first penalty above the threshold,
+    since no denser penalty can be kept once the monotone curve has crossed
+    it; ``instability`` and ``monotone_instability`` hold that evaluated
+    prefix, all of the path when nothing crosses.  When not even the
+    sparsest penalty passes, it is returned flagged and a warning is logged.
+    ``unconverged_fits`` counts the subsample fits and the refit that
+    stopped at their iteration limit.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -119,25 +132,35 @@ def stars_select(
         x[np.sort(np.random.default_rng(child).choice(n, size=size, replace=False))]
         for child in children
     ])
-    freq = fitter(subsamples, lams).sum(axis=0) / params.rep_num
     pairs = p * (p - 1) / 2.0
-    xi = 2.0 * freq * (1.0 - freq)
-    instability = np.array(
-        [np.triu(xi[k], k=1).sum() / pairs for k in range(len(lams))]
-    )
+    curve = []
+    unconverged = 0
+    for adj, missed in fitter(subsamples, lams):
+        freq = adj.sum(axis=0) / params.rep_num
+        xi = 2.0 * freq * (1.0 - freq)
+        curve.append(np.triu(xi, k=1).sum() / pairs)
+        unconverged += missed
+        if curve[-1] > params.beta_threshold:
+            break
+    instability = np.array(curve)
     monotone = np.maximum.accumulate(instability)
     admissible = np.flatnonzero(monotone <= params.beta_threshold)
+    prov = dict(provenance or {})
     if admissible.size:
         sel = int(admissible[-1])
         met = True
     else:
         sel = int(np.argmin(monotone))
         met = False
-    full = fitter(x[None], lams[sel : sel + 1])[0, 0]
-    prov = dict(provenance or {})
+        log.warning(
+            "%s: no penalty has StARS instability at or below %g; keeping the "
+            "most stable one, lambda %.6g with instability %.6g",
+            prov.get("method", "stars"), params.beta_threshold, lams[sel], monotone[sel],
+        )
+    full, missed = next(iter(fitter(x[None], lams[sel : sel + 1])))
     prov.update({"lambda": float(lams[sel]), "selection": "stars"})
     labels = taxa if taxa is not None else [f"V{i}" for i in range(p)]
-    net = network_from_mask(full, labels, provenance=prov)
+    net = network_from_mask(full[0], labels, provenance=prov)
     return StarsResult(
         network=net,
         lam=float(lams[sel]),
@@ -145,6 +168,7 @@ def stars_select(
         instability=instability,
         monotone_instability=monotone,
         threshold_met=met,
+        unconverged_fits=unconverged + missed,
     )
 
 

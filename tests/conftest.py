@@ -72,6 +72,13 @@ def chain_count_table(
     return make_table(compositional_counts(latent, depth))
 
 
+def acceptance_table() -> CountTable:
+    """The 20-taxon, 80-sample table of the acceptance runs."""
+    rng = np.random.default_rng(7)
+    latent = gaussian_from_precision(mixed_chain_precision(20), 80, rng)
+    return make_table(compositional_counts(latent, depth=1e4))
+
+
 def f1_score(est: set, truth: set) -> float:
     tp = len(est & truth)
     if tp == 0:

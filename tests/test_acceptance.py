@@ -27,13 +27,12 @@ from taxonet.solvers import graphical_lasso
 from taxonet.sparcc import sparcc_fit
 
 from conftest import (
+    acceptance_table,
     chain_count_table,
     chain_edges,
     compositional_counts,
     f1_score,
-    gaussian_from_precision,
     make_table,
-    mixed_chain_precision,
 )
 from test_cmi import chain_plus_noise_table, pair_with_exact_correlation
 
@@ -48,9 +47,7 @@ def report(capsys, num, label, ok, detail):
 def full_runs(tmp_path_factory):
     """Two identical all-methods pipeline runs on a 20-taxon, 80-sample
     synthetic table, plus their combined wall-clock time."""
-    rng = np.random.default_rng(7)
-    latent = gaussian_from_precision(mixed_chain_precision(20), 80, rng)
-    table = make_table(compositional_counts(latent, depth=1e4))
+    table = acceptance_table()
     base = tmp_path_factory.mktemp("full")
     start = time.perf_counter()
     runs = []

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from taxonet import SolverError, graphical_lasso, lasso_from_gram, lambda_path
-from taxonet import solvers
+from taxonet import estimators, solvers
 from taxonet.correlation import safe_correlation
-from taxonet.estimators import _glasso_adjacency_path
+from taxonet.estimators import _glasso_adjacency, _mb_adjacency_steps
 from taxonet.neighborhood import mb_adjacency_path, standardize_columns
 from taxonet.solvers import _cd_gram, _cd_gram_batch, graphical_lasso_batch
 
@@ -74,7 +74,9 @@ def test_glasso_path_matches_sequential_fits(subsamples):
     corrs = np.array([safe_correlation(s) for s in subs])
     assert np.all(corrs[0, 3, np.arange(6) != 3] == 0.0)
     lams = lambda_path(safe_correlation(x), nlambda=5).values
-    batched = _glasso_adjacency_path(corrs, lams)
+    steps = [_glasso_adjacency(corrs, lam) for lam in lams]
+    assert [unconverged for _, unconverged in steps] == [0] * len(lams)
+    batched = np.stack([adj for adj, _ in steps], axis=1)
     omega, converged, n_iter = graphical_lasso_batch(
         np.repeat(corrs, len(lams), axis=0), np.tile(lams, len(corrs))
     )
@@ -100,16 +102,30 @@ def test_glasso_batch_slices_give_the_same_fits(subsamples, monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_mb_path_matches_sequential_regressions(subsamples):
+def test_mb_path_matches_sequential_regressions(subsamples, monkeypatch):
     x, subs = subsamples
     zs = [standardize_columns(s) for s in subs]
     grams = np.array([z.T @ z / z.shape[0] for z in zs])
     assert grams[0, 3, 3] == 0.0   # the constant column is immovable
     lams = lambda_path(safe_correlation(x), nlambda=6).values
-    batched = mb_adjacency_path(grams, lams)
+    batched, unconverged = mb_adjacency_path(grams, lams)
+    assert unconverged == 0
     for r, gram in enumerate(grams):
         np.testing.assert_array_equal(batched[r], sequential_mb_path(gram, lams))
     assert batched.any() and not batched.all()
+    # the path walked one penalty at a time, as StARS draws it, carries one
+    # warm-start stack from penalty to penalty and gives the same supports
+    starts = []
+
+    def recording(grams, lambdas, rule="or", betas=None):
+        starts.append((betas, None if betas is None else betas.copy()))
+        return mb_adjacency_path(grams, lambdas, rule, betas)
+
+    monkeypatch.setattr(estimators, "mb_adjacency_path", recording)
+    steps = [adj for adj, _ in _mb_adjacency_steps(grams, lams, "or")]
+    np.testing.assert_array_equal(np.stack(steps, axis=1), batched)
+    assert all(b is starts[0][0] for b, _ in starts)
+    assert not starts[0][1].any() and starts[-1][1].any()
 
 
 def test_constant_column_standardizes_to_exact_zeros(subsamples):

@@ -7,14 +7,17 @@ recovery claim refers to the same data.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from taxonet import gcoda_fit, spieceasi_fit, spring_fit
+from taxonet import estimators, gcoda_fit, neighborhood, solvers, spieceasi_fit, spring_fit
 from taxonet.errors import EstimatorError
 from taxonet.estimators import GcodaParams, SpieceasiParams, SpringParams
 
 from conftest import (
+    acceptance_table,
     chain_count_table,
     chain_edges,
     f1_score,
@@ -106,6 +109,84 @@ class TestSpring:
         assert fit.weighted is not None
         assert fit.weighted.shape == (6, 6)
         np.testing.assert_allclose(np.diag(fit.weighted), 1.0)
+
+
+def full_path_stars(x, fitter, path, params):
+    """StARS without the early stop: every penalty fitted on every
+    subsample, the selection rule applied to the whole instability curve.
+    Returns the selected index, whether the threshold was met, the monotone
+    curve and the refit adjacency."""
+    n, p = x.shape
+    size = max(2, int(np.floor(params.resolved_ratio(n) * n)))
+    children = np.random.SeedSequence(params.seed).spawn(params.rep_num)
+    subs = np.array([
+        x[np.sort(np.random.default_rng(c).choice(n, size=size, replace=False))]
+        for c in children
+    ])
+    adj = np.stack([a for a, _ in fitter(subs, path.values)], axis=1)
+    assert adj.shape == (params.rep_num, path.nlambda, p, p)
+    freq = adj.sum(axis=0) / params.rep_num
+    xi = 2.0 * freq * (1.0 - freq)
+    instability = np.array(
+        [np.triu(xi[k], k=1).sum() / (p * (p - 1) / 2.0) for k in range(path.nlambda)]
+    )
+    monotone = np.maximum.accumulate(instability)
+    ok = np.flatnonzero(monotone <= params.beta_threshold)
+    sel = int(ok[-1]) if ok.size else int(np.argmin(monotone))
+    full, _ = next(iter(fitter(x[None], path.values[sel : sel + 1])))
+    return sel, bool(ok.size), monotone, full[0]
+
+
+STARS_FITS = {
+    "spieceasi_mb": partial(spieceasi_fit, mode="mb"),
+    "spieceasi_glasso": partial(spieceasi_fit, mode="glasso"),
+    "spring": spring_fit,
+}
+
+
+class TestStarsEarlyStop:
+    @pytest.mark.parametrize("method", sorted(STARS_FITS))
+    def test_same_selection_as_full_path(self, method, monkeypatch):
+        calls = []
+        stars_select = estimators.stars_select
+
+        def recording(x, fitter, path, params, **kwargs):
+            res = stars_select(x, fitter, path, params, **kwargs)
+            calls.append((x, fitter, path, params, res))
+            return res
+
+        monkeypatch.setattr(estimators, "stars_select", recording)
+        fit = STARS_FITS[method](acceptance_table())
+        [(x, fitter, path, params, res)] = calls
+        sel, met, monotone, full = full_path_stars(x, fitter, path, params)
+        assert res.lambda_index == sel == fit.selection["lambda_index"]
+        assert res.lam == path.values[sel] == fit.selection["lambda"]
+        assert res.threshold_met == met == fit.selection["threshold_met"]
+        np.testing.assert_array_equal(fit.network.adj, full)
+        # the recorded curve is the full one cut after its first value
+        # above the threshold
+        k = len(fit.selection["instability"])
+        assert fit.selection["instability"] == monotone[:k].tolist()
+        over = np.flatnonzero(monotone > params.beta_threshold)
+        assert k == (over[0] + 1 if over.size else path.nlambda)
+        assert k < path.nlambda
+        assert fit.selection["unconverged_fits"] == 0
+
+    @pytest.mark.parametrize("method", sorted(STARS_FITS))
+    def test_fits_at_their_limit_are_counted(self, method, monkeypatch):
+        table = chain_count_table(p=6, n=80, seed=0)
+        monkeypatch.setattr(neighborhood, "LASSO_MAX_SWEEPS", 2)
+        for name in ("graphical_lasso", "graphical_lasso_batch"):
+            monkeypatch.setattr(
+                estimators, name, partial(getattr(solvers, name), max_iter=1)
+            )
+        fit = STARS_FITS[method](table)
+        rep_num = fit.params["rep_num"]
+        evaluated = len(fit.selection["instability"])
+        # one fit per subsample, or one regression per subsample and node,
+        # at every evaluated penalty, plus the full-data refit
+        per_fit = 1 if method == "spieceasi_glasso" else table.n_taxa
+        assert 0 < fit.selection["unconverged_fits"] <= per_fit * (rep_num * evaluated + 1)
 
 
 class TestGcoda:

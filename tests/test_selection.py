@@ -74,42 +74,55 @@ def two_lambda_path():
 
 
 class TestStars:
-    def test_fully_stable_fitter_selects_densest(self, rng):
+    def test_fully_stable_fitter_selects_densest(self, rng, caplog):
         x = rng.normal(size=(30, 3))
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
 
         def fitter(subs, lams):
-            return np.tile(adj, (len(subs), len(lams), 1, 1))
+            for _ in lams:
+                yield np.tile(adj, (len(subs), 1, 1)), 0
 
         res = stars_select(x, fitter, two_lambda_path(), StarsParams(rep_num=10))
-        np.testing.assert_allclose(res.instability, 0.0)
+        np.testing.assert_allclose(res.instability, [0.0, 0.0])
         assert res.lambda_index == 1
         assert res.lam == pytest.approx(0.05)
         assert res.threshold_met
         assert res.network.edge_set() == {(0, 1)}
+        assert res.unconverged_fits == 0
+        assert not caplog.records
 
-    def test_coin_flip_fitter_hits_maximum_instability(self, rng):
+    def test_coin_flip_fitter_hits_maximum_instability(self, rng, caplog):
         x = rng.normal(size=(20, 2))
         calls = {"k": 0}
 
         def fitter(subs, lams):
             # alternate the lone edge on and off across subsamples; the
             # final full-data refit lands on the "on" phase
-            out = []
-            for _ in subs:
-                on = calls["k"] % 2 == 0
-                calls["k"] += 1
-                adj = np.full((2, 2), on, dtype=bool)
-                np.fill_diagonal(adj, False)
-                out.append(np.stack([adj] * len(lams)))
-            return np.stack(out)
+            for _ in lams:
+                out = []
+                for _ in subs:
+                    on = calls["k"] % 2 == 0
+                    calls["k"] += 1
+                    adj = np.full((2, 2), on, dtype=bool)
+                    np.fill_diagonal(adj, False)
+                    out.append(adj)
+                yield np.stack(out), 0
 
-        res = stars_select(x, fitter, two_lambda_path(), StarsParams(rep_num=10))
+        res = stars_select(
+            x, fitter, two_lambda_path(), StarsParams(rep_num=10),
+            provenance={"method": "coin_flip"},
+        )
         # selection frequency 1/2 gives edge variability 2*f*(1-f) = 1/2
         np.testing.assert_allclose(res.instability, 0.5, atol=1e-12)
         assert not res.threshold_met
         assert res.lambda_index == 0
+        assert res.network.edge_set() == {(0, 1)}
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert record.name == "taxonet"
+        assert "coin_flip" in record.getMessage()
+        assert "instability 0.5" in record.getMessage()
 
     def test_monotonization_from_sparse_end(self, rng):
         x = rng.normal(size=(20, 2))
@@ -117,20 +130,56 @@ class TestStars:
 
         def fitter(subs, lams):
             # first penalty unstable, second perfectly stable
-            out = np.zeros((len(subs), len(lams), 2, 2), dtype=bool)
-            for r in range(len(subs)):
-                on = calls["k"] % 2 == 0
-                calls["k"] += 1
-                out[r, 0, 0, 1] = out[r, 0, 1, 0] = on
-                if len(lams) > 1:
-                    out[r, 1, 0, 1] = out[r, 1, 1, 0] = True
-            return out
+            for k in range(len(lams)):
+                out = np.zeros((len(subs), 2, 2), dtype=bool)
+                for r in range(len(subs)):
+                    on = calls["k"] % 2 == 0 if k == 0 else True
+                    calls["k"] += 1
+                    out[r, 0, 1] = out[r, 1, 0] = on
+                yield out, 0
 
         res = stars_select(x, fitter, two_lambda_path(), StarsParams(rep_num=10))
-        np.testing.assert_allclose(res.instability, [0.5, 0.0], atol=1e-12)
-        # the unstable sparse end poisons everything denser than it
-        np.testing.assert_allclose(res.monotone_instability, [0.5, 0.5], atol=1e-12)
+        # the unstable sparse end poisons everything denser than it, so the
+        # stable second penalty is never fitted
+        np.testing.assert_allclose(res.instability, [0.5], atol=1e-12)
+        np.testing.assert_allclose(res.monotone_instability, [0.5], atol=1e-12)
+        assert res.lambda_index == 0
         assert not res.threshold_met
+
+    def test_walk_stops_after_first_unstable_penalty(self, rng):
+        x = rng.normal(size=(20, 2))
+        path = LambdaPath(
+            values=np.geomspace(0.5, 0.005, 5), nlambda=5, lambda_min_ratio=0.01
+        )
+        drawn = []
+
+        def fitter(subs, lams, unstable_from):
+            # stable, then half the subsamples gain the edge from penalty
+            # ``unstable_from`` on; each fit reports one unconverged fit
+            for k, lam in enumerate(lams):
+                drawn.append((len(subs), float(lam)))
+                out = np.zeros((len(subs), 2, 2), dtype=bool)
+                if len(subs) > 1 and k >= unstable_from:
+                    out[::2, 0, 1] = out[::2, 1, 0] = True
+                yield out, len(subs)
+
+        res = stars_select(
+            x, lambda s, l: fitter(s, l, 2), path, StarsParams(rep_num=10)
+        )
+        assert drawn == [(10, lam) for lam in path.values[:3]] + [(1, path.values[1])]
+        np.testing.assert_allclose(res.instability, [0.0, 0.0, 0.5])
+        assert res.lambda_index == 1
+        assert res.threshold_met
+        assert res.unconverged_fits == 3 * 10 + 1
+
+        drawn.clear()
+        res = stars_select(
+            x, lambda s, l: fitter(s, l, 5), path, StarsParams(rep_num=10)
+        )
+        assert drawn == [(10, lam) for lam in path.values] + [(1, path.values[4])]
+        np.testing.assert_allclose(res.instability, 0.0)
+        assert res.lambda_index == 4
+        assert res.unconverged_fits == 5 * 10 + 1
 
     def test_subsamples_are_distinct_rows_of_requested_size(self, rng):
         n = 10
@@ -139,7 +188,8 @@ class TestStars:
 
         def fitter(subs, lams):
             seen.extend(sub[:, 0].copy() for sub in subs)
-            return np.zeros((len(subs), len(lams), 2, 2), dtype=bool)
+            for _ in lams:
+                yield np.zeros((len(subs), 2, 2), dtype=bool), 0
 
         stars_select(
             x,
@@ -159,7 +209,8 @@ class TestStars:
 
         def fitter(subs, lams):
             rs = [np.corrcoef(sub, rowvar=False) for sub in subs]
-            return np.stack([np.stack([np.abs(r) > lam for lam in lams]) for r in rs])
+            for lam in lams:
+                yield np.array([np.abs(r) > lam for r in rs]), 0
 
         a = stars_select(x, fitter, two_lambda_path(), StarsParams(rep_num=8, seed=3))
         b = stars_select(x, fitter, two_lambda_path(), StarsParams(rep_num=8, seed=3))
