@@ -161,11 +161,12 @@ def _cmd_render(args) -> int:
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     c = load_consensus(out)
-    paths, _ = render_threshold_panel(c, out, layout_seed=seed)
+    layouts: dict = {}
+    paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
     union = threshold_network(c, 0)
     union_path = os.path.join(out, "consensus_network.svg")
     render_network_svg(union, seed, union_path,
-                       title=f"consensus union: {union.n_edges} edges")
+                       title=f"consensus union: {union.n_edges} edges", layouts=layouts)
     try:
         labels, h = read_labeled_matrix(os.path.join(out, "hamming_matrix.tsv"))
         heat = os.path.join(out, "hamming_heatmap.svg")

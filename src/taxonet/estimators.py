@@ -23,7 +23,7 @@ from .data import CountTable, clr_transform, mclr_transform, to_composition
 from .errors import EstimatorError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
-from .selection import StarsParams, ebic_score, lambda_path, stars_select
+from .selection import StarsParams, ebic_choose, ebic_score, lambda_path, stars_select
 from .solvers import graphical_lasso, graphical_lasso_batch
 
 
@@ -291,6 +291,9 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     eye = np.eye(p, dtype=bool)
     rows = []
     masks = []
+    # the refit starts cold from a penalty built from the support alone, so
+    # one refit per distinct support serves every penalty that gives it
+    refits: dict[bytes, tuple[float, bool]] = {}
     all_converged = True
     omega = None
     for lam in path.values:
@@ -299,19 +302,18 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
         mask = (omega != 0) & ~eye
         mask = mask | mask.T
         n_edges = int(mask.sum()) // 2
-        refit_lam = np.where(mask, 0.0, np.inf)
-        np.fill_diagonal(refit_lam, 0.0)
-        omega_r, ok_r = _gcoda_solve(s, refit_lam)
+        key = mask.tobytes()
+        if key not in refits:
+            refit_lam = np.where(mask, 0.0, np.inf)
+            np.fill_diagonal(refit_lam, 0.0)
+            omega_r, ok_r = _gcoda_solve(s, refit_lam)
+            refits[key] = (-(n / 2.0) * _profiled_neg2loglik(s, omega_r), ok_r)
+        loglik, ok_r = refits[key]
         all_converged = all_converged and ok_r
-        loglik = -(n / 2.0) * _profiled_neg2loglik(s, omega_r)
         rows.append((float(lam), ebic_score(loglik, n_edges, n, p, params.ebic_gamma), n_edges))
         masks.append(mask)
     scores = np.array(rows)
-    order = sorted(
-        range(len(masks)),
-        key=lambda k: (round(scores[k, 1], 10), scores[k, 2], -scores[k, 0]),
-    )
-    sel = order[0]
+    sel = ebic_choose(scores)
     net = network_from_mask(
         masks[sel],
         table.taxa,

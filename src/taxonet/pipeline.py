@@ -60,6 +60,12 @@ log = logging.getLogger("taxonet")
 
 MANIFEST_NAME = "manifest.json"
 
+# With jobs > 1 these methods go to the workers first, in this order, and
+# the rest follow in roster order, so the longest job never starts last.
+# Seconds in a traced run on the 20-taxon acceptance table (two cores):
+# gcoda 6.66, spieceasi_glasso 1.26, every other method 0.10 or less.
+LONGEST_FIRST = ("gcoda", "spieceasi_glasso")
+
 
 @dataclass
 class MethodRun:
@@ -138,11 +144,15 @@ def run_methods(cfg: PipelineConfig, table: CountTable) -> dict[str, MethodRun]:
         jobs.append((m, table, cfg.params_for(m), runs[m].seed))
 
     if cfg.jobs > 1:
+        rank = {m: i for i, m in enumerate(LONGEST_FIRST)}
+        submit_order = sorted(jobs, key=lambda job: rank.get(job[0], len(rank)))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {m: pool.submit(_execute_method, m, t, p, s) for m, t, p, s in jobs}
-            for m, fut in futures.items():
+            futures = {
+                m: pool.submit(_execute_method, m, t, p, s) for m, t, p, s in submit_order
+            }
+            for m in runs:
                 try:
-                    runs[m].result, runs[m].seconds = fut.result()
+                    runs[m].result, runs[m].seconds = futures[m].result()
                 except Exception as exc:
                     runs[m].status = "failed"
                     runs[m].error = f"{type(exc).__name__}: {exc}"
@@ -233,13 +243,18 @@ def write_artifacts(run: PipelineRun) -> list[str]:
         _write_labeled_matrix(
             record("hamming_matrix.tsv"), list(c.methods), run.hamming, "method"
         )
-        panel_paths, _ = render_threshold_panel(c, out, layout_seed=run.config.seed)
+        layouts: dict = {}
+        panel_paths, _ = render_threshold_panel(
+            c, out, layout_seed=run.config.seed, layouts=layouts
+        )
         written.extend(os.path.basename(p) for p in panel_paths)
+        union = threshold_network(c, 0)
         render_network_svg(
-            threshold_network(c, 0),
+            union,
             run.config.seed,
             record("consensus_network.svg"),
-            title=f"consensus union: {threshold_network(c, 0).n_edges} edges",
+            title=f"consensus union: {union.n_edges} edges",
+            layouts=layouts,
         )
         render_hamming_heatmap(
             run.hamming, list(c.methods), record("hamming_heatmap.svg")

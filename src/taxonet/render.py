@@ -5,6 +5,12 @@ Everything is written as plain SVG text with fixed number formatting, so a
 given (network, seed) pair produces byte-identical files on every run and
 platform.  Layout is a classic force-directed embedding run for a fixed
 number of iterations from a seeded start.
+
+One layout per distinct network: a run and the ``render`` verb each pass
+one ``layouts`` dict to all their drawings, so a network is laid out once
+however often it is drawn.  The union is drawn both as ``network_t0.svg``
+and as ``consensus_network.svg``, and consecutive thresholds often keep the
+same edges.  The dict lives only as long as the call that made it.
 """
 
 from __future__ import annotations
@@ -29,28 +35,62 @@ def fr_layout(adj: np.ndarray, seed: int, iterations: int = LAYOUT_ITERATIONS) -
 
     Runs a fixed iteration count with linear cooling; the only randomness
     is the seeded initial placement, so the result is reproducible.
+
+    The coordinates are kept as two vectors and every pairwise array is
+    laid out ``[j, i]`` (neighbour, node), so each node's displacement is a
+    sum over the outer axis.  numpy adds such rows one after another, in
+    neighbour order, which fixes the rounding of the returned positions.
     """
     p = adj.shape[0]
     rng = np.random.default_rng(seed)
     pos = rng.random((p, 2))
     if p == 1:
         return np.array([[0.5, 0.5]])
-    a = np.asarray(adj, dtype=float)
+    a = np.ascontiguousarray(np.asarray(adj, dtype=float).T)
     k = np.sqrt(1.0 / p)
     t = 0.1
     dt = t / (iterations + 1)
+    x = pos[:, 0].copy()
+    y = pos[:, 1].copy()
+    dx, dy, dist, force, work = (np.empty((p, p)) for _ in range(5))
     for _ in range(iterations):
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=-1))
+        # dx[j, i] = x[i] - x[j]
+        np.subtract(x, x[:, None], out=dx)
+        np.subtract(y, y[:, None], out=dy)
+        np.multiply(dx, dx, out=dist)
+        np.multiply(dy, dy, out=work)
+        np.add(dist, work, out=dist)
+        np.sqrt(dist, out=dist)
         np.clip(dist, 0.01, None, out=dist)
-        # repulsion between all pairs, attraction along edges
-        force = k * k / dist**2 - a * dist / k
-        disp = (delta * force[:, :, None]).sum(axis=1)
-        length = np.sqrt((disp**2).sum(axis=1))
+        # repulsion between all pairs, attraction along edges:
+        # force = k * k / dist**2 - a * dist / k
+        np.multiply(dist, dist, out=force)
+        np.divide(k * k, force, out=force)
+        np.multiply(a, dist, out=work)
+        np.divide(work, k, out=work)
+        np.subtract(force, work, out=force)
+        np.multiply(dx, force, out=work)
+        disp_x = work.sum(axis=0)
+        np.multiply(dy, force, out=work)
+        disp_y = work.sum(axis=0)
+        length = np.sqrt(disp_x * disp_x + disp_y * disp_y)
         np.clip(length, 1e-9, None, out=length)
-        pos = pos + disp / length[:, None] * np.minimum(length, t)[:, None]
+        step = np.minimum(length, t)
+        x = x + disp_x / length * step
+        y = y + disp_y / length * step
         t -= dt
-    return pos
+    return np.column_stack((x, y))
+
+
+def _layout(sub: np.ndarray, seed: int, layouts: dict | None) -> np.ndarray:
+    """``fr_layout(sub, seed)``, taken from ``layouts`` when a network with
+    the same adjacency was already laid out there with the same seed."""
+    if layouts is None:
+        return fr_layout(sub, seed)
+    key = (sub.shape, sub.dtype.str, sub.tobytes(), seed)
+    if key not in layouts:
+        layouts[key] = fr_layout(sub, seed)
+    return layouts[key]
 
 
 def _scaled(pos: np.ndarray) -> np.ndarray:
@@ -80,11 +120,17 @@ def _write(path, lines: list[str]) -> None:
 
 
 def render_network_svg(
-    net: BinaryNetwork, layout_seed: int, path, title: str | None = None
+    net: BinaryNetwork,
+    layout_seed: int,
+    path,
+    title: str | None = None,
+    layouts: dict | None = None,
 ) -> None:
     """Draw the connected part of a network; isolated taxa are left out.
 
-    A network with no edges at all becomes a captioned empty frame.
+    A network with no edges at all becomes a captioned empty frame.  A
+    ``layouts`` dict shared between calls keeps each layout, so a network
+    drawn again with the same seed is not laid out again.
     """
     height = CANVAS + HEADER
     label = title if title is not None else f"{net.n_edges} edges"
@@ -101,7 +147,7 @@ def render_network_svg(
         _write(path, lines)
         return
     sub = net.adj[np.ix_(keep, keep)]
-    pos = _scaled(fr_layout(sub, layout_seed))
+    pos = _scaled(_layout(sub, layout_seed, layouts))
     iu, ju = np.triu_indices(len(keep), k=1)
     for i, j in zip(iu.tolist(), ju.tolist()):
         if sub[i, j]:
@@ -126,11 +172,12 @@ def render_network_svg(
 
 
 def render_threshold_panel(
-    c: WeightedConsensus, out_dir, layout_seed: int = 0
+    c: WeightedConsensus, out_dir, layout_seed: int = 0, layouts: dict | None = None
 ) -> tuple[list[str], list[SweepRow]]:
     """One SVG per threshold t = 0 .. M-1, each annotated with the node and
     edge counts of its thresholded network.  Returns the file paths and the
-    matching sweep table."""
+    matching sweep table.  With a ``layouts`` dict, thresholds that keep the
+    same network share one layout, and so do other drawings given the dict."""
     rows = threshold_sweep(c)
     paths = []
     for row in rows:
@@ -141,6 +188,7 @@ def render_threshold_panel(
             layout_seed,
             name,
             title=f"t={row.t}: {row.connected_node_count} nodes, {row.edge_count} edges",
+            layouts=layouts,
         )
         paths.append(name)
     return paths, rows

@@ -187,6 +187,16 @@ def ebic_score(loglik: float, n_edges: int, n: int, p: int, gamma: float) -> flo
     return -2.0 * loglik + n_edges * math.log(n) + 4.0 * n_edges * gamma * math.log(p)
 
 
+def ebic_choose(scores: np.ndarray) -> int:
+    """Row index of the EBIC minimizer in ``scores`` (columns: lambda, ebic,
+    edge count).  EBICs equal to 10 decimals tie; ties go to the sparser
+    model, then to the larger penalty."""
+    return min(
+        range(len(scores)),
+        key=lambda k: (round(scores[k, 1], 10), scores[k, 2], -scores[k, 0]),
+    )
+
+
 def ebic_select(
     s: np.ndarray,
     n: int,
@@ -219,12 +229,7 @@ def ebic_select(
     if not any_converged:
         raise SelectionError("no penalty produced a converged fit")
     scores = np.array(rows)
-    # minimize ebic; break ties toward fewer edges, then larger lambda
-    order = sorted(
-        range(len(lams)),
-        key=lambda k: (round(scores[k, 1], 10), scores[k, 2], -scores[k, 0]),
-    )
-    sel = order[0]
+    sel = ebic_choose(scores)
     mask, est = fits[sel]
     prov = dict(provenance or {})
     prov.update({"lambda": float(lams[sel]), "selection": "ebic", "gamma": gamma})

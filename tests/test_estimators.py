@@ -15,6 +15,7 @@ import pytest
 from taxonet import estimators, gcoda_fit, neighborhood, solvers, spieceasi_fit, spring_fit
 from taxonet.errors import EstimatorError
 from taxonet.estimators import GcodaParams, SpieceasiParams, SpringParams
+from taxonet.selection import ebic_score
 
 from conftest import (
     acceptance_table,
@@ -219,3 +220,39 @@ class TestGcoda:
         assert "ebic" in fit.selection
         assert "lambda" in fit.selection
         assert fit.selection["lambda_index"] >= 0
+
+    def test_each_distinct_support_is_refit_once(self, monkeypatch):
+        solve = estimators._gcoda_solve
+        covariances, path_omegas, refits = [], [], []
+
+        def recording(s, lam, omega0=None):
+            omega, ok = solve(s, lam, omega0=omega0)
+            covariances.append(s)
+            if np.ndim(lam) == 0:
+                path_omegas.append(omega)
+            else:
+                refits.append(np.isfinite(lam).tobytes())
+            return omega, ok
+
+        monkeypatch.setattr(estimators, "_gcoda_solve", recording)
+        table = chain_count_table(p=6, n=120, seed=4)
+        params = GcodaParams(counts=True)
+        fit = gcoda_fit(table, params)
+
+        # reference: every penalty scored with a refit of its own
+        s, n, p = covariances[0], table.n_samples, table.n_taxa
+        eye = np.eye(p, dtype=bool)
+        supports, rows = [], []
+        for lam, omega in zip(fit.selection["ebic"], path_omegas):
+            mask = (omega != 0) & ~eye
+            mask = mask | mask.T
+            refit_lam = np.where(mask, 0.0, np.inf)
+            np.fill_diagonal(refit_lam, 0.0)
+            omega_r, _ = solve(s, refit_lam)
+            loglik = -(n / 2.0) * estimators._profiled_neg2loglik(s, omega_r)
+            n_edges = int(mask.sum()) // 2
+            rows.append([lam[0], ebic_score(loglik, n_edges, n, p, params.ebic_gamma), n_edges])
+            supports.append(np.isfinite(refit_lam).tobytes())
+        assert fit.selection["ebic"] == rows
+        assert sorted(refits) == sorted(set(supports))
+        assert len(refits) < len(supports)

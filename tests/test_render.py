@@ -1,21 +1,30 @@
-"""SVG rendering: deterministic bytes, glyph counts, panel annotations, and
-the heatmap parse-back oracle."""
+"""SVG rendering: deterministic bytes, glyph counts, panel annotations, the
+heatmap parse-back oracle, and one layout per distinct network."""
 
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxonet.consensus import build_consensus, threshold_sweep
+from taxonet import render
+from taxonet.cli import main
+from taxonet.config import build_config
+from taxonet.consensus import build_consensus, threshold_network, threshold_sweep
 from taxonet.errors import RenderError
-from taxonet.network import BinaryNetwork
+from taxonet.network import BinaryNetwork, MethodResult
+from taxonet.pipeline import run_pipeline
 from taxonet.render import (
     fr_layout,
     render_hamming_heatmap,
     render_network_svg,
     render_threshold_panel,
 )
+
+from conftest import make_table
 
 
 def taxa_labels(p):
@@ -32,6 +41,76 @@ def net_from_pairs(p, pairs, taxa=None):
 def svg_elements(path, local_name):
     root = ET.parse(path).getroot()
     return [el for el in root.iter() if el.tag.endswith("}" + local_name)]
+
+
+def reference_fr_layout(adj, seed, iterations=render.LAYOUT_ITERATIONS):
+    """The layout as first written, on one (p, p, 2) array of pairwise
+    offsets.  Its bits are the contract that ``fr_layout`` keeps."""
+    p = adj.shape[0]
+    rng = np.random.default_rng(seed)
+    pos = rng.random((p, 2))
+    if p == 1:
+        return np.array([[0.5, 0.5]])
+    a = np.asarray(adj, dtype=float)
+    k = np.sqrt(1.0 / p)
+    t = 0.1
+    dt = t / (iterations + 1)
+    for _ in range(iterations):
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((delta**2).sum(axis=-1))
+        np.clip(dist, 0.01, None, out=dist)
+        force = k * k / dist**2 - a * dist / k
+        disp = (delta * force[:, :, None]).sum(axis=1)
+        length = np.sqrt((disp**2).sum(axis=1))
+        np.clip(length, 1e-9, None, out=length)
+        pos = pos + disp / length[:, None] * np.minimum(length, t)[:, None]
+        t -= dt
+    return pos
+
+
+def assert_same_bits(adj, seed):
+    got, want = fr_layout(adj, seed), reference_fr_layout(adj, seed)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def symmetric_adjacency(draw, max_p=40):
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    upper = np.random.default_rng(seed).random((p, p)) < density
+    adj = np.triu(upper, k=1).astype(np.int8)
+    return adj + adj.T
+
+
+class TestLayoutBits:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_smallest_graphs(self, p):
+        assert_same_bits(net_from_pairs(p, [(0, p - 1)] if p > 1 else []).adj, p)
+
+    def test_empty_graph(self):
+        assert_same_bits(np.zeros((12, 12), dtype=np.int8), 4)
+
+    def test_complete_graph(self):
+        adj = np.ones((15, 15), dtype=np.int8)
+        np.fill_diagonal(adj, 0)
+        assert_same_bits(adj, 5)
+
+    def test_disconnected_graph(self):
+        pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8)]
+        assert_same_bits(net_from_pairs(9, pairs).adj, 6)
+
+    def test_two_hundred_node_sparse_graph(self):
+        rng = np.random.default_rng(11)
+        upper = np.triu(rng.random((200, 200)) < 0.02, k=1).astype(np.int8)
+        assert_same_bits(upper + upper.T, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_adjacency(), st.integers(min_value=0, max_value=1000))
+    def test_generated_symmetric_graphs(self, adj, seed):
+        assert_same_bits(adj, seed)
 
 
 class TestLayout:
@@ -188,3 +267,94 @@ class TestHammingHeatmap:
         render_hamming_heatmap(h, ["x", "y", "z"], a)
         render_hamming_heatmap(h, ["x", "y", "z"], b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Four methods vote so that the union (t=0) has three edges, t=1 and t=2
+# keep the same two edges and t=3 keeps none: two distinct networks to lay
+# out, where drawing without a memo lays out four.
+LAYOUT_VOTES = {
+    "pearson": [(0, 1), (1, 2), (3, 4)],
+    "spearman": [(0, 1), (1, 2)],
+    "bicor": [(0, 1), (1, 2)],
+    "sparcc": [],
+}
+
+
+def vote_result(method, table, params=None, seed=None):
+    adj = net_from_pairs(table.n_taxa, LAYOUT_VOTES[method], list(table.taxa)).adj
+    return MethodResult(
+        method=method,
+        params={},
+        taxa=list(table.taxa),
+        weighted=adj.astype(float),
+        pvalues=1.0 - adj,
+        network=BinaryNetwork(adj=adj, taxa=list(table.taxa)),
+    )
+
+
+class TestOneLayoutPerNetwork:
+    seed = 3
+
+    def run(self, out, monkeypatch):
+        monkeypatch.setattr("taxonet.pipeline.run_method", vote_result)
+        rng = np.random.default_rng(0)
+        table = make_table(rng.integers(1, 50, size=(12, 6)))
+        cfg = build_config(
+            {"methods": ",".join(LAYOUT_VOTES), "output": str(out), "seed": str(self.seed)}
+        )
+        return run_pipeline(cfg, table=table)
+
+    def count_layouts(self, monkeypatch):
+        calls = Counter()
+        original = render.fr_layout
+
+        def counted(adj, seed, *args, **kwargs):
+            calls[(adj.tobytes(), seed)] += 1
+            return original(adj, seed, *args, **kwargs)
+
+        monkeypatch.setattr(render, "fr_layout", counted)
+        return calls
+
+    def distinct_networks(self, c):
+        keys = set()
+        for t in range(c.n_methods):
+            adj = threshold_network(c, t).adj
+            keep = np.flatnonzero(adj.sum(axis=0) > 0)
+            if keep.size:
+                keys.add((adj[np.ix_(keep, keep)].tobytes(), self.seed))
+        return keys
+
+    def svgs(self, out):
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.svg"))}
+
+    def test_write_artifacts_lays_out_each_distinct_network_once(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.count_layouts(monkeypatch)
+        run = self.run(tmp_path, monkeypatch)
+        assert set(calls) == self.distinct_networks(run.consensus)
+        assert len(calls) == 2
+        assert set(calls.values()) == {1}
+
+    def test_render_verb_lays_out_each_distinct_network_once(
+        self, tmp_path, monkeypatch
+    ):
+        run = self.run(tmp_path, monkeypatch)
+        calls = self.count_layouts(monkeypatch)
+        assert main(["render", "--out", str(tmp_path), "--seed", str(self.seed)]) == 0
+        assert set(calls) == self.distinct_networks(run.consensus)
+        assert set(calls.values()) == {1}
+
+    def test_svg_bytes_equal_an_unmemoized_run(self, tmp_path, monkeypatch):
+        memo_dir = tmp_path / "memo"
+        self.run(memo_dir, monkeypatch)
+        memo = self.svgs(memo_dir)
+        assert "network_t3.svg" in memo and "consensus_network.svg" in memo
+        assert main(["render", "--out", str(memo_dir), "--seed", str(self.seed)]) == 0
+        assert self.svgs(memo_dir) == memo
+        # every drawing laid out afresh by the (p, p, 2) reference
+        monkeypatch.setattr(
+            render, "_layout", lambda sub, seed, layouts: reference_fr_layout(sub, seed)
+        )
+        self.run(tmp_path / "plain", monkeypatch)
+        assert self.svgs(tmp_path / "plain") == memo

@@ -11,7 +11,7 @@ from taxonet import (
     lambda_path,
     stars_select,
 )
-from taxonet.selection import default_subsample_ratio
+from taxonet.selection import default_subsample_ratio, ebic_choose
 
 from conftest import chain_edges, chain_precision, f1_score
 
@@ -235,6 +235,20 @@ class TestEbicScore:
         assert ebic_score(0.0, 4, 100, 10, 0.7) - base == pytest.approx(
             4 * 4 * 0.7 * np.log(10)
         )
+
+
+class TestEbicChoose:
+    def test_least_ebic_wins(self):
+        scores = np.array([[0.5, 12.0, 0], [0.2, 9.0, 3], [0.1, 10.0, 5]])
+        assert ebic_choose(scores) == 1
+
+    def test_ties_at_ten_decimals_go_to_fewer_edges(self):
+        scores = np.array([[0.5, 9.0 + 1e-12, 4], [0.2, 9.0, 3], [0.1, 9.0, 5]])
+        assert ebic_choose(scores) == 1
+
+    def test_then_to_the_larger_penalty(self):
+        scores = np.array([[0.1, 9.0, 3], [0.5, 9.0, 3], [0.2, 9.0, 3]])
+        assert ebic_choose(scores) == 1
 
 
 class TestEbicSelect:
