@@ -87,7 +87,7 @@ from .selection import (
     lambda_path,
     stars_select,
 )
-from .solvers import graphical_lasso, lasso_from_gram
+from .solvers import graphical_lasso
 from .sparcc import SparccParams, log_ratio_variance, sparcc_fit
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ selected binary network and the selection diagnostics.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,11 +21,13 @@ from .correlation import (
     tau_bridge,
 )
 from .data import CountTable, clr_transform, mclr_transform, to_composition
-from .errors import EstimatorError
+from .errors import EstimatorError, SolverError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
 from .selection import StarsParams, ebic_choose, ebic_score, lambda_path, stars_select
 from .solvers import graphical_lasso, graphical_lasso_batch
+
+log = logging.getLogger("taxonet")
 
 
 @dataclass
@@ -44,9 +47,6 @@ class SpieceasiParams:
 
 @dataclass
 class SpringParams:
-    rmethod: str = "original"
-    quantitative: bool = True
-    lambdaseq: str = "data-specific"
     nlambda: int = 15
     rep_num: int = 20
     lambda_min_ratio: float = 1e-2
@@ -70,15 +70,9 @@ def _clr_matrix(table: CountTable, pseudo: float) -> np.ndarray:
 def _glasso_adjacency(s: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
     """Off-diagonal supports of cold-started graphical-lasso fits at one
     penalty for a (R, p, p) stack of correlations, as an (R, p, p) boolean
-    stack, and the number of fits that did not converge.  A single fit goes
-    through the scalar solver, which is the faster of the two for one
-    problem."""
+    stack, and the number of fits that did not converge."""
     r, p = s.shape[:2]
-    if r == 1:
-        est = graphical_lasso(s[0], lam)
-        omega, converged = est.omega[None], np.array([est.converged])
-    else:
-        omega, converged, _ = graphical_lasso_batch(s, np.full(r, lam))
+    omega, converged, _ = graphical_lasso_batch(s, np.full(r, lam))
     mask = (omega != 0) & ~np.eye(p, dtype=bool)
     return mask, int((~converged).sum())
 
@@ -277,9 +271,12 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     repeated graphical-lasso solves on a linearized surrogate.  Each
     candidate support is scored at its own constrained maximum likelihood
     (penalty-free refit on the support), so the EBIC compares models, not
-    shrunken fits.  ``counts=True`` treats the input as raw counts needing
-    the pseudo-count before closure; ``counts=False`` expects
-    already-positive relative abundances.
+    shrunken fits.  A penalty whose support refit loses positive
+    definiteness, as with p > n, is unscorable and never chosen; when the
+    penalized fit itself fails, that penalty and every denser one are.
+    ``counts=True`` treats the input as raw counts needing the pseudo-count
+    before closure; ``counts=False`` expects already-positive relative
+    abundances.
     """
     params = params or GcodaParams()
     pseudo = params.pseudo if params.counts else 0.0
@@ -287,17 +284,23 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     s = np.cov(x, rowvar=False)
     p = table.n_taxa
     n = table.n_samples
-    path = lambda_path(s, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio)
+    lams = lambda_path(s, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio).values
     eye = np.eye(p, dtype=bool)
     rows = []
     masks = []
     # the refit starts cold from a penalty built from the support alone, so
     # one refit per distinct support serves every penalty that gives it
-    refits: dict[bytes, tuple[float, bool]] = {}
+    refits: dict[bytes, tuple[float | None, bool]] = {}
     all_converged = True
     omega = None
-    for lam in path.values:
-        omega, ok = _gcoda_solve(s, float(lam), omega0=omega)
+    for k, lam in enumerate(lams):
+        try:
+            omega, ok = _gcoda_solve(s, float(lam), omega0=omega)
+        except SolverError:
+            # a penalty too small to keep the fit positive definite (p > n):
+            # every denser one is smaller still
+            rows.extend([float(rest), None, None] for rest in lams[k:])
+            break
         all_converged = all_converged and ok
         mask = (omega != 0) & ~eye
         mask = mask | mask.T
@@ -306,18 +309,32 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
         if key not in refits:
             refit_lam = np.where(mask, 0.0, np.inf)
             np.fill_diagonal(refit_lam, 0.0)
-            omega_r, ok_r = _gcoda_solve(s, refit_lam)
-            refits[key] = (-(n / 2.0) * _profiled_neg2loglik(s, omega_r), ok_r)
+            try:
+                omega_r, ok_r = _gcoda_solve(s, refit_lam)
+                refits[key] = (float(-(n / 2.0) * _profiled_neg2loglik(s, omega_r)), ok_r)
+            except SolverError:
+                # with p > n the unpenalized likelihood on a support can be
+                # unbounded: the penalty is unscorable, not unconverged
+                refits[key] = (None, True)
         loglik, ok_r = refits[key]
         all_converged = all_converged and ok_r
-        rows.append((float(lam), ebic_score(loglik, n_edges, n, p, params.ebic_gamma), n_edges))
+        ebic = None if loglik is None else ebic_score(loglik, n_edges, n, p, params.ebic_gamma)
+        rows.append([float(lam), ebic, float(n_edges)])
         masks.append(mask)
-    scores = np.array(rows)
-    sel = ebic_choose(scores)
+    unscorable = [k for k, row in enumerate(rows) if row[1] is None]
+    scored = [k for k, row in enumerate(rows) if row[1] is not None]
+    if not scored:
+        raise EstimatorError(
+            "gcoda: no penalty could be scored; every fit lost positive definiteness"
+        )
+    if unscorable:
+        log.warning("gcoda: %d of %d penalties could not be scored (a fit lost positive "
+                    "definiteness); EBIC chooses among the rest", len(unscorable), len(lams))
+    sel = scored[ebic_choose(np.array([rows[k] for k in scored]))]
     net = network_from_mask(
         masks[sel],
         table.taxa,
-        provenance={"method": "gcoda", "lambda": float(scores[sel, 0]), "selection": "ebic"},
+        provenance={"method": "gcoda", "lambda": rows[sel][0], "selection": "ebic"},
     )
     return MethodResult(
         method="gcoda",
@@ -325,9 +342,10 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
         taxa=list(table.taxa),
         network=net,
         selection={
-            "lambda": float(scores[sel, 0]),
+            "lambda": rows[sel][0],
             "lambda_index": sel,
-            "ebic": scores.tolist(),
+            "ebic": rows,
+            "unscorable": unscorable,
             "all_converged": all_converged,
         },
     )

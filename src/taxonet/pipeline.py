@@ -22,6 +22,7 @@ same config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -143,23 +144,17 @@ def run_methods(cfg: PipelineConfig, table: CountTable) -> dict[str, MethodRun]:
         )
         jobs.append((m, table, cfg.params_for(m), runs[m].seed))
 
-    if cfg.jobs > 1:
-        rank = {m: i for i, m in enumerate(LONGEST_FIRST)}
-        submit_order = sorted(jobs, key=lambda job: rank.get(job[0], len(rank)))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                m: pool.submit(_execute_method, m, t, p, s) for m, t, p, s in submit_order
-            }
-            for m in runs:
-                try:
-                    runs[m].result, runs[m].seconds = futures[m].result()
-                except Exception as exc:
-                    runs[m].status = "failed"
-                    runs[m].error = f"{type(exc).__name__}: {exc}"
-    else:
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        futures = {}
+        if pool is not None:
+            rank = {m: i for i, m in enumerate(LONGEST_FIRST)}
+            for m, t, p, s in sorted(jobs, key=lambda job: rank.get(job[0], len(rank))):
+                futures[m] = pool.submit(_execute_method, m, t, p, s)
         for m, t, p, s in jobs:
             try:
-                runs[m].result, runs[m].seconds = _execute_method(m, t, p, s)
+                outcome = futures[m].result() if m in futures else _execute_method(m, t, p, s)
+                runs[m].result, runs[m].seconds = outcome
             except Exception as exc:
                 runs[m].status = "failed"
                 runs[m].error = f"{type(exc).__name__}: {exc}"

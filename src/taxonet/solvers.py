@@ -2,16 +2,17 @@
 
 The lasso kernel works entirely from sufficient statistics (a gram/
 covariance block V and a target vector b), which lets the same routine
-serve data regressions, the graphical-lasso inner problem, and
-neighborhood selection driven by a correlation matrix alone.  Its batched
-twin solves many independent problems side by side with the same
-arithmetic; stability selection sends all of its subsample fits through
-it, which keeps plain numpy fast without a JIT.
+serve the graphical-lasso inner problem and neighborhood selection driven
+by a correlation matrix alone.  Its batched twin solves many independent
+problems side by side with the same arithmetic, which keeps plain numpy
+fast without a JIT.  One graphical-lasso solver runs every fit on a stack
+of problems and picks the kernel by the stack's size: the scalar kernel
+for a stack of one, the batched kernel for more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,57 +135,14 @@ def _cd_gram_batch(v, b, beta, lam, tol, max_sweeps, group=None):
     return sweeps
 
 
-def lasso_from_gram(
-    v: np.ndarray,
-    b: np.ndarray,
-    lam,
-    beta0: np.ndarray | None = None,
-    tol: float = LASSO_TOL,
-    max_sweeps: int = LASSO_MAX_SWEEPS,
-) -> np.ndarray:
-    """Solve min_beta 0.5 beta'V beta - b'beta + sum_k lam_k |beta_k|.
-
-    ``lam`` is a scalar or a per-coordinate vector.
-    """
-    beta = np.zeros_like(b, dtype=float) if beta0 is None else beta0.astype(float).copy()
-    lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), beta.shape)
-    _cd_gram(
-        np.ascontiguousarray(v, dtype=np.float64),
-        np.ascontiguousarray(b, dtype=np.float64),
-        beta,
-        np.ascontiguousarray(lam_vec),
-        float(tol),
-        int(max_sweeps),
-    )
-    return beta
-
-
 @dataclass
 class PrecisionEstimate:
-    """Sparse precision matrix with solver diagnostics.
-
-    ``objective`` is the penalized log-likelihood
-    log det(omega) - tr(S omega) - lam * sum_offdiag |omega_ij| at the
-    final iterate; ``objective_path`` tracks it per outer sweep.
-    """
+    """Precision matrix of one :func:`graphical_lasso` fit, whether the fit
+    converged, and its outer sweep count."""
 
     omega: np.ndarray
-    lam: float
-    objective: float
-    converged: bool = True
-    n_iter: int = 0
-    objective_path: list[float] = field(default_factory=list)
-
-
-def _penalized_loglik(s, omega, lam_mat):
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
-        return -np.inf
-    a = np.abs(omega)
-    np.fill_diagonal(a, 0.0)
-    # infinite penalty on an exact zero contributes nothing
-    terms = np.where(a > 0.0, lam_mat, 0.0) * a
-    return logdet - float(np.sum(s * omega)) - float(terms.sum())
+    converged: bool
+    n_iter: int
 
 
 def _precision_diagonal(w, betas):
@@ -198,7 +156,7 @@ def _precision_diagonal(w, betas):
         # gives bit for bit what a stack of one gives
         w12 = np.ascontiguousarray(w[:, rest, j])
         denom = w[:, j, j] - np.matmul(w12[:, None, :], betas[:, j, :, None])[:, 0, 0]
-        if (denom <= 0).any():
+        if not (denom > 0).all():   # NaN too: the iterate diverged
             raise SolverError("working covariance lost positive definiteness")
         diag[:, j] = 1.0 / denom
     return diag
@@ -224,7 +182,6 @@ def graphical_lasso(
     lam,
     tol: float = GLASSO_TOL,
     max_iter: int = GLASSO_MAX_ITER,
-    warm_start: np.ndarray | None = None,
 ) -> PrecisionEstimate:
     """L1-penalized precision estimation by blockwise coordinate descent.
 
@@ -233,70 +190,19 @@ def graphical_lasso(
     matrix of pairwise penalties (infinite entries force structural
     zeros).  Convergence is declared when the largest elementwise change
     of the working covariance in a sweep drops below ``tol``; a
-    non-converged fit is returned flagged, not raised.
+    non-converged fit is returned flagged, not raised.  This is
+    :func:`graphical_lasso_batch` on a stack of one.
     """
-    s = np.asarray(s, dtype=float)
-    p = s.shape[0]
-    if s.shape != (p, p) or np.abs(s - s.T).max(initial=0) > 1e-8:
-        raise SolverError("input matrix must be square and symmetric")
-    lam_mat = np.asarray(lam, dtype=float)
-    scalar_lam = lam_mat.ndim == 0
-    if scalar_lam:
-        lam_mat = np.full((p, p), float(lam))
-    else:
-        finite = np.isfinite(lam_mat)
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(lam_mat - lam_mat.T)
-        asym = np.where(finite & finite.T, diff, 0.0).max(initial=0.0)
-        if lam_mat.shape != (p, p) or (finite != finite.T).any() or asym > 1e-8:
-            raise SolverError("penalty matrix must be p x p and symmetric")
-    if (lam_mat < 0).any():
-        raise SolverError("penalty must be nonnegative")
-    w = s.copy() if warm_start is None else warm_start.copy()
-    np.fill_diagonal(w, np.diag(s))
-    betas = np.zeros((p, p - 1))
-    idx = np.arange(p)
-    converged = False
-    n_iter = 0
-    objective_path: list[float] = []
-    for it in range(max_iter):
-        n_iter = it + 1
-        max_change = 0.0
-        for j in range(p):
-            rest = idx != j
-            v = np.ascontiguousarray(w[np.ix_(rest, rest)])
-            b = s[rest, j]
-            beta = betas[j]
-            _cd_gram(
-                v, b, beta,
-                np.ascontiguousarray(lam_mat[rest, j]),
-                GLASSO_INNER_TOL, LASSO_MAX_SWEEPS,
-            )
-            w12 = v @ beta
-            change = np.abs(w12 - w[rest, j]).max(initial=0.0)
-            if change > max_change:
-                max_change = change
-            w[rest, j] = w12
-            w[j, rest] = w12
-        omega = _assemble_precision(w[None], betas[None])[0]
-        objective_path.append(_penalized_loglik(s, omega, lam_mat))
-        if max_change < tol:
-            converged = True
-            break
-    omega = _assemble_precision(w[None], betas[None])[0]
-    return PrecisionEstimate(
-        omega=omega,
-        lam=float(lam) if scalar_lam else float(np.nanmin(lam_mat)),
-        objective=_penalized_loglik(s, omega, lam_mat),
-        converged=converged,
-        n_iter=n_iter,
-        objective_path=objective_path,
+    omega, converged, n_iter = graphical_lasso_batch(
+        np.asarray(s, dtype=float)[None], np.asarray(lam, dtype=float)[None], tol, max_iter
     )
+    return PrecisionEstimate(omega[0], bool(converged[0]), int(n_iter[0]))
 
 
-def _glasso_batch_slice(s, lam, tol, max_iter, omega, converged, n_iter):
+def _glasso_batch_slice(s, pen, tol, max_iter, alone, omega, converged, n_iter):
     """Solve one slice of :func:`graphical_lasso_batch` into the given
-    output views."""
+    output views.  ``pen`` is the slice's (n, p, p) penalty stack;
+    ``alone`` says that the slice is the call's only problem."""
     n, p = s.shape[:2]
     asym = s - np.swapaxes(s, 1, 2)
     if np.abs(asym, out=asym).max(initial=0) > 1e-8:
@@ -306,7 +212,6 @@ def _glasso_batch_slice(s, lam, tol, max_iter, omega, converged, n_iter):
     live = np.arange(n)
     w = s.copy()
     betas = np.zeros((n, p, p - 1))
-    pen = np.repeat(lam[:, None], p - 1, axis=1)
     for it in range(max_iter):
         n_iter[live] = it + 1
         max_change = np.zeros(len(live))
@@ -315,9 +220,14 @@ def _glasso_batch_slice(s, lam, tol, max_iter, omega, converged, n_iter):
             v = np.ascontiguousarray(w[:, rest][:, :, rest])
             beta = betas[:, j]
             b = s[:, rest, j][live]
-            _cd_gram_batch(v, b, beta, pen, GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
-            w12 = np.matmul(v, beta[:, :, None])[:, :, 0]
-            np.maximum(max_change, np.abs(w12 - w[:, rest, j]).max(axis=1), out=max_change)
+            if alone:
+                _cd_gram(v[0], b[0], beta[0], pen[0, rest, j], GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
+                w12 = (v[0] @ beta[0])[None]
+            else:
+                _cd_gram_batch(v, b, beta, pen[:, rest, j], GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
+                w12 = np.matmul(v, beta[:, :, None])[:, :, 0]
+            change = np.abs(w12 - w[:, rest, j]).max(axis=1, initial=0.0)
+            np.maximum(max_change, change, out=max_change)
             w[:, rest, j] = w12
             w[:, j, rest] = w12
         _precision_diagonal(w, betas)
@@ -341,19 +251,29 @@ def graphical_lasso_batch(
 ):
     """:func:`graphical_lasso` over a stack of independent problems.
 
-    ``s`` is a (B, p, p) stack of covariances and ``lam`` holds one scalar
-    penalty per problem; every problem starts cold.  Each one takes the
-    scalar solver's sweeps with its arithmetic and stops at its own
-    convergence.  Returns the (B, p, p) precision stack, the per-problem
-    ``converged`` flags and the outer sweep counts.
+    ``s`` is a (B, p, p) stack of covariances; ``lam`` holds one penalty per
+    problem, a scalar or a symmetric (p, p) matrix whose infinite entries
+    force zeros.  Every problem starts cold and stops at its own
+    convergence.  A stack of one goes through the scalar kernel, the faster
+    one for a single problem; a larger stack goes through the batched
+    kernel until its last problem stops.  Returns the (B, p, p) precision
+    stack, the per-problem ``converged`` flags and the outer sweep counts.
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    n, p = s.shape[:2]
-    if s.shape != (n, p, p):
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise SolverError("input matrices must be square and symmetric")
-    if lam.shape != (n,):
-        raise SolverError("need one penalty per problem")
+    n, p = s.shape[:2]
+    if lam.shape == (n,):
+        lam = np.broadcast_to(lam[:, None, None], (n, p, p))
+    if lam.shape != (n, p, p):
+        raise SolverError("need one penalty, a scalar or a p x p matrix, per problem")
+    finite = np.isfinite(lam)
+    both = finite & np.swapaxes(finite, 1, 2)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(lam - np.swapaxes(lam, 1, 2))
+    if (finite != both).any() or np.where(both, diff, 0.0).max(initial=0.0) > 1e-8:
+        raise SolverError("penalty matrices must be symmetric")
     if (lam < 0).any():
         raise SolverError("penalty must be nonnegative")
     omega = np.empty((n, p, p))
@@ -363,6 +283,6 @@ def graphical_lasso_batch(
     for i in range(0, n, step):
         part = slice(i, i + step)
         _glasso_batch_slice(
-            s[part], lam[part], tol, max_iter, omega[part], converged[part], n_iter[part]
+            s[part], lam[part], tol, max_iter, n == 1, omega[part], converged[part], n_iter[part]
         )
     return omega, converged, n_iter

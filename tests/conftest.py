@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from taxonet import CountTable
+from taxonet.solvers import LASSO_MAX_SWEEPS, LASSO_TOL, _cd_gram
 
 
 def make_table(values, prefix="T") -> CountTable:
@@ -77,6 +78,22 @@ def acceptance_table() -> CountTable:
     rng = np.random.default_rng(7)
     latent = gaussian_from_precision(mixed_chain_precision(20), 80, rng)
     return make_table(compositional_counts(latent, depth=1e4))
+
+
+def lasso_from_gram(v, b, lam, beta0=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
+    """Solve min_beta 0.5 beta'V beta - b'beta + sum_k lam_k |beta_k| with the
+    scalar kernel.  ``lam`` is a scalar or a per-coordinate vector."""
+    beta = np.zeros_like(b, dtype=float) if beta0 is None else beta0.astype(float).copy()
+    lam_vec = np.broadcast_to(np.asarray(lam, dtype=np.float64), beta.shape)
+    _cd_gram(
+        np.ascontiguousarray(v, dtype=np.float64),
+        np.ascontiguousarray(b, dtype=np.float64),
+        beta,
+        np.ascontiguousarray(lam_vec),
+        float(tol),
+        int(max_sweeps),
+    )
+    return beta
 
 
 def f1_score(est: set, truth: set) -> float:

@@ -8,14 +8,14 @@ coefficients, hence the same supports.
 import numpy as np
 import pytest
 
-from taxonet import SolverError, graphical_lasso, lasso_from_gram, lambda_path
+from taxonet import SolverError, graphical_lasso, lambda_path
 from taxonet import estimators, solvers
 from taxonet.correlation import safe_correlation
 from taxonet.estimators import _glasso_adjacency, _mb_adjacency_steps
 from taxonet.neighborhood import mb_adjacency_path, standardize_columns
 from taxonet.solvers import _cd_gram, _cd_gram_batch, graphical_lasso_batch
 
-from conftest import chain_precision, gaussian_from_precision
+from conftest import chain_precision, gaussian_from_precision, lasso_from_gram
 
 
 @pytest.fixture(scope="module")

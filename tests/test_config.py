@@ -90,6 +90,11 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="has no parameter 'imaxx'.*alpha"):
             build_config({"sparcc.imaxx": "5"})
 
+    @pytest.mark.parametrize("key", ["rmethod", "quantitative", "lambdaseq"])
+    def test_removed_spring_options_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"spring has no parameter '{key}'"):
+            build_config({f"spring.{key}": "approx"})
+
     def test_typed_overrides(self):
         cfg = build_config(
             {

@@ -7,15 +7,16 @@ recovery claim refers to the same data.
 
 from __future__ import annotations
 
+import logging
 from functools import partial
 
 import numpy as np
 import pytest
 
 from taxonet import estimators, gcoda_fit, neighborhood, solvers, spieceasi_fit, spring_fit
-from taxonet.errors import EstimatorError
+from taxonet.errors import EstimatorError, SolverError
 from taxonet.estimators import GcodaParams, SpieceasiParams, SpringParams
-from taxonet.selection import ebic_score
+from taxonet.selection import ebic_choose, ebic_score
 
 from conftest import (
     acceptance_table,
@@ -100,8 +101,6 @@ class TestSpring:
 
     def test_defaults(self):
         params = SpringParams()
-        assert params.rmethod == "original"
-        assert params.quantitative is True
         assert params.nlambda == 15
         assert params.rep_num == 20
 
@@ -256,3 +255,51 @@ class TestGcoda:
         assert fit.selection["ebic"] == rows
         assert sorted(refits) == sorted(set(supports))
         assert len(refits) < len(supports)
+
+    def test_p_greater_than_n_scores_what_it_can(self, caplog):
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(rng.uniform(5, 60, size=6), size=(4, 6))
+        with caplog.at_level(logging.WARNING, logger="taxonet"):
+            fit = gcoda_fit(make_table(counts), GcodaParams(counts=True, nlambda=8))
+        sel = fit.selection
+        rows = sel["ebic"]
+        assert [row[0] for row in rows] == sorted((row[0] for row in rows), reverse=True)
+        # support refits fail from penalty 2 on; the penalized fit fails at 7
+        assert sel["unscorable"] == [2, 3, 4, 5, 6, 7]
+        assert [k for k, row in enumerate(rows) if row[1] is None] == sel["unscorable"]
+        assert [k for k, row in enumerate(rows) if row[2] is None] == [7]
+        assert sel["lambda_index"] == ebic_choose(np.array(rows[:2]))
+        assert fit.network.n_edges == rows[sel["lambda_index"]][2]
+        assert "6 of 8 penalties could not be scored" in caplog.text
+
+    def test_failed_penalized_fit_ends_the_walk(self, monkeypatch):
+        solve = estimators._gcoda_solve
+        penalized = []
+
+        def failing(s, lam, omega0=None):
+            if np.ndim(lam) == 0:
+                penalized.append(lam)
+                if len(penalized) == 4:
+                    raise SolverError("working covariance lost positive definiteness")
+            return solve(s, lam, omega0=omega0)
+
+        monkeypatch.setattr(estimators, "_gcoda_solve", failing)
+        fit = gcoda_fit(chain_count_table(p=6, n=120, seed=4), GcodaParams(counts=True))
+        rows = fit.selection["ebic"]
+        assert len(penalized) == 4 and len(rows) == 15
+        assert fit.selection["unscorable"] == list(range(3, 15))
+        assert all(row[1] is None and row[2] is None for row in rows[3:])
+        assert all(row[1] is not None for row in rows[:3])
+        assert fit.selection["lambda_index"] < 3
+
+    def test_no_scorable_penalty_is_an_estimator_error(self, monkeypatch):
+        solve = estimators._gcoda_solve
+
+        def failing_refits(s, lam, omega0=None):
+            if np.ndim(lam):
+                raise SolverError("working covariance lost positive definiteness")
+            return solve(s, lam, omega0=omega0)
+
+        monkeypatch.setattr(estimators, "_gcoda_solve", failing_refits)
+        with pytest.raises(EstimatorError, match="no penalty could be scored"):
+            gcoda_fit(chain_count_table(p=6, n=60, seed=4), GcodaParams(counts=True, nlambda=4))

@@ -1,12 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxonet import SolverError, graphical_lasso, lasso_from_gram
+from taxonet import SolverError, graphical_lasso, solvers
+from taxonet.solvers import (
+    GLASSO_INNER_TOL,
+    GLASSO_MAX_ITER,
+    GLASSO_TOL,
+    LASSO_MAX_SWEEPS,
+    _assemble_precision,
+    _cd_gram,
+    _cd_gram_batch,
+    _precision_diagonal,
+    graphical_lasso_batch,
+)
+
+from conftest import lasso_from_gram
 
 
 def random_spd(rng, p, jitter=0.5):
     a = rng.normal(size=(p, p))
     return a @ a.T / p + jitter * np.eye(p)
+
+
+def penalized_loglik(s, omega, lam):
+    """log det(omega) - tr(S omega) - lam * sum_offdiag |omega_ij|."""
+    sign, logdet = np.linalg.slogdet(omega)
+    if sign <= 0:
+        return -np.inf
+    pen = np.abs(omega).sum() - np.trace(np.abs(omega))
+    return logdet - np.sum(s * omega) - lam * pen
 
 
 class TestLasso:
@@ -85,20 +109,11 @@ class TestGraphicalLasso:
         s = random_spd(rng, 5)
         lam = 0.2
         est = graphical_lasso(s, lam, tol=1e-7)
-
-        def objective(om):
-            sign, logdet = np.linalg.slogdet(om)
-            if sign <= 0:
-                return -np.inf
-            pen = np.abs(om).sum() - np.trace(np.abs(om))
-            return logdet - np.sum(s * om) - lam * pen
-
-        base = objective(est.omega)
-        assert est.objective == pytest.approx(base, abs=1e-10)
+        base = penalized_loglik(s, est.omega, lam)
         for _ in range(50):
             d = rng.normal(size=(5, 5)) * 1e-3
             d = 0.5 * (d + d.T)
-            assert objective(est.omega + d) <= base + 1e-6
+            assert penalized_loglik(s, est.omega + d, lam) <= base + 1e-6
 
     def test_penalty_shrinks_offdiagonals_monotonically(self, rng):
         s = random_spd(rng, 6)
@@ -126,12 +141,226 @@ class TestGraphicalLasso:
         with pytest.raises(SolverError, match="nonnegative"):
             graphical_lasso(np.eye(3), -0.1)
 
+    def test_rejects_asymmetric_penalty_matrix(self, rng):
+        s = random_spd(rng, 4)
+        lam = np.full((4, 4), 0.1)
+        lam[0, 1] = 0.3
+        with pytest.raises(SolverError, match="symmetric"):
+            graphical_lasso(s, lam)
+        lam[0, 1] = np.inf   # a structural zero on one side only
+        with pytest.raises(SolverError, match="symmetric"):
+            graphical_lasso(s, lam)
+        with pytest.raises(SolverError, match="one penalty"):
+            graphical_lasso(s, np.full((3, 3), 0.1))
+
     def test_reports_iteration_count_and_path(self, rng):
         s = random_spd(rng, 5)
-        est = graphical_lasso(s, 0.1)
+        lam = 0.1
+        est = graphical_lasso(s, lam)
         assert est.converged
-        assert est.n_iter >= 1
-        assert len(est.objective_path) == est.n_iter
+        assert est.n_iter >= 2
+        # the objective after each outer sweep, read from fits stopped there
+        path = []
+        for k in range(1, est.n_iter + 1):
+            fit = graphical_lasso(s, lam, max_iter=k)
+            assert fit.n_iter == k and fit.converged == (k == est.n_iter)
+            path.append(penalized_loglik(s, fit.omega, lam))
+        assert fit.omega.tobytes() == est.omega.tobytes()
         # outer sweeps should not degrade the objective materially
-        path = est.objective_path
         assert all(b >= a - 1e-6 for a, b in zip(path, path[1:]))
+
+
+# References: the scalar solver (without its objective bookkeeping) and the
+# batched solver that the one solver replaced.  The one solver must give
+# their bits exactly.  They share the kernels and _precision_diagonal, so a
+# NaN iterate raises in them as it does in the one solver.
+
+
+def reference_graphical_lasso(s, lam, tol=GLASSO_TOL, max_iter=GLASSO_MAX_ITER):
+    """The scalar solver: one problem, scalar kernel, its own sweep loop."""
+    p = s.shape[0]
+    lam_mat = np.full((p, p), float(lam)) if np.ndim(lam) == 0 else np.asarray(lam)
+    w = s.copy()
+    betas = np.zeros((p, p - 1))
+    idx = np.arange(p)
+    converged = False
+    n_iter = 0
+    for it in range(max_iter):
+        n_iter = it + 1
+        max_change = 0.0
+        for j in range(p):
+            rest = idx != j
+            v = np.ascontiguousarray(w[np.ix_(rest, rest)])
+            b = s[rest, j]
+            beta = betas[j]
+            _cd_gram(
+                v, b, beta,
+                np.ascontiguousarray(lam_mat[rest, j]),
+                GLASSO_INNER_TOL, LASSO_MAX_SWEEPS,
+            )
+            w12 = v @ beta
+            change = np.abs(w12 - w[rest, j]).max(initial=0.0)
+            if change > max_change:
+                max_change = change
+            w[rest, j] = w12
+            w[j, rest] = w12
+        _assemble_precision(w[None], betas[None])
+        if max_change < tol:
+            converged = True
+            break
+    return _assemble_precision(w[None], betas[None])[0], converged, n_iter
+
+
+def reference_batch_slice(s, lam, tol, max_iter, omega, converged, n_iter):
+    n, p = s.shape[:2]
+    live = np.arange(n)
+    w = s.copy()
+    betas = np.zeros((n, p, p - 1))
+    pen = np.repeat(lam[:, None], p - 1, axis=1)
+    for it in range(max_iter):
+        n_iter[live] = it + 1
+        max_change = np.zeros(len(live))
+        for j in range(p):
+            rest = np.arange(p) != j
+            v = np.ascontiguousarray(w[:, rest][:, :, rest])
+            beta = betas[:, j]
+            b = s[:, rest, j][live]
+            _cd_gram_batch(v, b, beta, pen, GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
+            w12 = np.matmul(v, beta[:, :, None])[:, :, 0]
+            np.maximum(max_change, np.abs(w12 - w[:, rest, j]).max(axis=1), out=max_change)
+            w[:, rest, j] = w12
+            w[:, j, rest] = w12
+        _precision_diagonal(w, betas)
+        done = max_change < tol
+        converged[live[done]] = True
+        if it == max_iter - 1:
+            done[:] = True
+        if done.any():
+            omega[live[done]] = _assemble_precision(w[done], betas[done])
+            keep = ~done
+            live, w, betas, pen = live[keep], w[keep], betas[keep], pen[keep]
+            if not len(live):
+                break
+
+
+def reference_graphical_lasso_batch(s, lam, tol=GLASSO_TOL, max_iter=GLASSO_MAX_ITER):
+    """The batched solver: scalar penalties, batched kernel, sliced."""
+    lam = np.asarray(lam, dtype=float)
+    n, p = s.shape[:2]
+    omega = np.empty((n, p, p))
+    converged = np.zeros(n, dtype=bool)
+    n_iter = np.zeros(n, dtype=int)
+    step = max(1, solvers.BATCH_MAX_ENTRIES // (p * p))
+    for i in range(0, n, step):
+        part = slice(i, i + step)
+        reference_batch_slice(
+            s[part], lam[part], tol, max_iter, omega[part], converged[part], n_iter[part]
+        )
+    return omega, converged, n_iter
+
+
+def sample_correlation(p, n, seed):
+    """Correlation of n Gaussian rows; singular when n <= p."""
+    rng = np.random.default_rng(seed)
+    s = np.corrcoef(rng.normal(size=(n, p)), rowvar=False)
+    s = 0.5 * (s + s.T)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def lam_max(s):
+    return float(np.abs(s - np.diag(np.diag(s))).max())
+
+
+def unit_diagonal(p, seed):
+    """A symmetric unit-diagonal matrix, often indefinite, on which a fit
+    can lose positive definiteness."""
+    a = np.random.default_rng(seed).uniform(-1, 1, size=(p, p))
+    s = 0.5 * (a + a.T)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+@st.composite
+def covariances(draw, max_p=20):
+    p = draw(st.integers(2, max_p))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return unit_diagonal(p, seed)
+    return sample_correlation(p, draw(st.integers(max(2, p // 2), 3 * p)), seed)
+
+
+def outcome(solve):
+    """A fit's (omega bytes, converged, n_iter), or the solver error."""
+    try:
+        omega, converged, n_iter = solve()
+    except SolverError as exc:
+        return str(exc)
+    return np.asarray(omega).tobytes(), np.asarray(converged).tolist(), np.asarray(n_iter).tolist()
+
+
+def single(s, lam, max_iter):
+    est = graphical_lasso(s, lam, max_iter=max_iter)
+    return est.omega, est.converged, est.n_iter
+
+
+class TestOneSolverBits:
+    @settings(max_examples=40, deadline=None)
+    @given(covariances(), st.floats(0.05, 1.1), st.integers(1, 40))
+    def test_scalar_penalty(self, s, frac, max_iter):
+        lam = frac * lam_max(s)
+        assert outcome(lambda: single(s, lam, max_iter)) == outcome(
+            lambda: reference_graphical_lasso(s, lam, max_iter=max_iter))
+
+    @settings(max_examples=40, deadline=None)
+    @given(covariances(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_penalty_matrix_with_structural_zeros(self, s, seed, max_iter):
+        rng = np.random.default_rng(seed)
+        p = s.shape[0]
+        lam = np.triu(rng.uniform(0.05, 1.0, size=(p, p)) * lam_max(s), 1)
+        lam[np.triu(rng.random((p, p)) < 0.3, 1)] = np.inf
+        lam = lam + lam.T
+        assert outcome(lambda: single(s, lam, max_iter)) == outcome(
+            lambda: reference_graphical_lasso(s, lam, max_iter=max_iter))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 7), st.integers(0, 2**32 - 1),
+           st.integers(1, 40))
+    def test_batch(self, p, count, seed, max_iter):
+        rng = np.random.default_rng(seed)
+        s = np.array([sample_correlation(p, int(rng.integers(max(2, p // 2), 3 * p)), seed + k)
+                      for k in range(count)])
+        lam = rng.uniform(0.05, 1.0, size=count) * [lam_max(x) for x in s]
+        assert outcome(lambda: graphical_lasso_batch(s, lam, max_iter=max_iter)) == outcome(
+            lambda: reference_graphical_lasso_batch(s, lam, max_iter=max_iter))
+
+    def test_batch_that_shrinks_to_one_live_problem(self):
+        # the identity stops after one sweep and the others at distinct
+        # sweeps, so the last sweeps run a single live problem
+        s = np.array([np.eye(8)] + [sample_correlation(8, 12, seed) for seed in (1, 2)])
+        lam = np.array([0.1, 0.2, 0.02])
+        got = graphical_lasso_batch(s, lam)
+        assert outcome(lambda: got) == outcome(lambda: reference_graphical_lasso_batch(s, lam))
+        n_iter = got[2]
+        assert n_iter[0] == 1 and (n_iter == n_iter.max()).sum() == 1
+
+    def test_sliced_batch_with_a_tail_of_one(self, monkeypatch):
+        monkeypatch.setattr(solvers, "BATCH_MAX_ENTRIES", 2 * 6 * 6)
+        s = np.array([sample_correlation(6, 20, seed) for seed in range(5)])
+        lam = np.linspace(0.05, 0.3, 5)
+        assert outcome(lambda: graphical_lasso_batch(s, lam)) == outcome(
+            lambda: reference_graphical_lasso_batch(s, lam))
+
+    def test_batch_of_penalty_matrices_matches_single_fits(self):
+        rng = np.random.default_rng(3)
+        s = np.array([sample_correlation(7, 25, seed) for seed in range(4)])
+        lam = np.triu(rng.uniform(0.02, 0.3, size=(4, 7, 7)), 1)
+        lam[np.triu(rng.random((4, 7, 7)) < 0.3, 1)] = np.inf
+        lam = lam + np.swapaxes(lam, 1, 2)
+        omega, converged, n_iter = graphical_lasso_batch(s, lam)
+        for k in range(4):
+            est = graphical_lasso(s[k], lam[k])
+            assert (converged[k], n_iter[k]) == (est.converged, est.n_iter)
+            np.testing.assert_array_equal(omega[k] != 0, est.omega != 0)
+            np.testing.assert_allclose(omega[k], est.omega, rtol=0, atol=1e-12)
+            assert (omega[k][np.isinf(lam[k])] == 0).all()
