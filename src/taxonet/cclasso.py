@@ -13,7 +13,7 @@ edge significance comes from bootstrap refits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +23,18 @@ from .errors import EstimatorError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PSD_FLOOR = 1e-8
+# ADMM step size and the relative primal/dual residual that ends a solve
+ADMM_RHO = 1.0
+ADMM_TOL = 1e-5
 
 
 @dataclass
 class CclassoParams:
-    counts: bool = False
     pseudo: float = 0.5
     k_cv: int = 3
     lam_int: tuple[float, float] = (1e-4, 1.0)
     k_max: int = 20
     n_boot: int = 20
-    seed: int = 0
 
 
 @dataclass
@@ -42,7 +43,6 @@ class CclassoResult:
     pvalues: np.ndarray
     selected_lambda: float
     converged: bool
-    cv_evaluations: list[tuple[float, float]] = field(default_factory=list)
 
 
 def _clr_covariance(x: np.ndarray) -> np.ndarray:
@@ -59,15 +59,9 @@ def _centering_basis(p: int):
     return eigvec, mask
 
 
-def cclasso_solve(
-    s: np.ndarray,
-    lam: float,
-    rho: float = 1.0,
-    max_iter: int = 20,
-    tol: float = 1e-5,
-    z0: np.ndarray | None = None,
-):
-    """ADMM for min 0.5*||F Sigma F - S||_F^2 + lam*sum_offdiag|Sigma_ij|.
+def cclasso_solve(s: np.ndarray, lam: float, max_iter: int = 20):
+    """ADMM for min 0.5*||F Sigma F - S||_F^2 + lam*sum_offdiag|Sigma_ij|,
+    started from Sigma = S.
 
     Returns the sparse iterate (exact zeros from soft thresholding) and a
     convergence flag.
@@ -75,24 +69,24 @@ def cclasso_solve(
     s = np.asarray(s, dtype=float)
     p = s.shape[0]
     q, mask = _centering_basis(p)
-    denom = np.outer(mask, mask) + rho
+    denom = np.outer(mask, mask) + ADMM_RHO
     sfs_t = q.T @ s @ q * np.outer(mask, mask)   # F S F in the eigenbasis
-    z = s.copy() if z0 is None else z0.copy()
+    z = s.copy()
     u = np.zeros_like(s)
     converged = False
     for _ in range(max_iter):
-        b_t = sfs_t + rho * (q.T @ (z - u) @ q)
+        b_t = sfs_t + ADMM_RHO * (q.T @ (z - u) @ q)
         sigma = q @ (b_t / denom) @ q.T
         sigma = 0.5 * (sigma + sigma.T)
         z_old = z
         w = sigma + u
-        z = np.sign(w) * np.maximum(np.abs(w) - lam / rho, 0.0)
+        z = np.sign(w) * np.maximum(np.abs(w) - lam / ADMM_RHO, 0.0)
         np.fill_diagonal(z, np.diag(w))
         u = u + sigma - z
         scale = max(1.0, np.linalg.norm(sigma), np.linalg.norm(z))
         primal = np.linalg.norm(sigma - z) / scale
-        dual = rho * np.linalg.norm(z - z_old) / scale
-        if primal < tol and dual < tol:
+        dual = ADMM_RHO * np.linalg.norm(z - z_old) / scale
+        if primal < ADMM_TOL and dual < ADMM_TOL:
             converged = True
             break
     return 0.5 * (z + z.T), converged
@@ -121,7 +115,7 @@ def _to_correlation(z: np.ndarray) -> np.ndarray:
 
 
 def _golden_section(evaluate, lo: float, hi: float, max_evals: int = 20):
-    """Minimize over [lo, hi] in log space; returns (argmin, evaluations)."""
+    """Minimize over [lo, hi] in log space; returns the best point evaluated."""
     a, b = math.log(lo), math.log(hi)
     cache: list[tuple[float, float]] = []
 
@@ -143,16 +137,18 @@ def _golden_section(evaluate, lo: float, hi: float, max_evals: int = 20):
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
-    best = min(cache, key=lambda t: t[1])
-    return best[0], cache
+    return min(cache, key=lambda t: t[1])[0]
 
 
-def cclasso_fit(table: CountTable, params: CclassoParams | None = None) -> CclassoResult:
+def cclasso_fit(
+    table: CountTable, params: CclassoParams | None = None, seed: int = 0
+) -> CclassoResult:
     """Sparse latent correlation with cross-validated penalty and bootstrap
     edge p-values.
 
-    ``counts=True`` adds the pseudo-count before closure; otherwise the
-    values are treated as already-positive relative abundances.
+    ``pseudo`` is added before closure; relative abundances without zeros
+    can be fed as they are with ``pseudo=0``.  ``seed`` draws the folds and
+    the bootstrap samples.
     """
     params = params or CclassoParams()
     v = table.values
@@ -161,16 +157,13 @@ def cclasso_fit(table: CountTable, params: CclassoParams | None = None) -> Cclas
         raise EstimatorError(
             f"cross-validation folds would have fewer than 3 samples (n={n}, k_cv={params.k_cv})"
         )
-    if params.counts:
-        x = v + params.pseudo
-    else:
-        if (v <= 0).any():
-            raise EstimatorError("counts=False requires strictly positive values")
-        x = v.copy()
+    x = v + params.pseudo
+    if (x <= 0).any():
+        raise EstimatorError("cclasso needs strictly positive values; use pseudo > 0 with zeros")
     x = x / x.sum(axis=1, keepdims=True)
     s_full = _clr_covariance(x)
 
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(n)
     folds = np.array_split(order, params.k_cv)
 
@@ -184,7 +177,7 @@ def cclasso_fit(table: CountTable, params: CclassoParams | None = None) -> Cclas
             total += _projection_loss(sigma, _clr_covariance(x[holdout]))
         return total
 
-    lam_best, evaluations = _golden_section(cv_loss, *params.lam_int)
+    lam_best = _golden_section(cv_loss, *params.lam_int)
     z, converged = cclasso_solve(s_full, lam_best, max_iter=params.k_max)
     r_hat = _to_correlation(z)
 
@@ -205,5 +198,4 @@ def cclasso_fit(table: CountTable, params: CclassoParams | None = None) -> Cclas
         pvalues=pvalues,
         selected_lambda=lam_best,
         converged=converged,
-        cv_evaluations=evaluations,
     )

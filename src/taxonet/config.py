@@ -11,11 +11,10 @@ Example::
     binarize.sparcc = abs_threshold:0.4
 
 Every method parameter is addressable as ``<method>.<field>``.  Unknown
-keys, unknown methods, and malformed values are hard errors.  With no
-overrides at all, every method runs at its documented defaults; the only
-pipeline-level adjustment is that the two methods whose reference defaults
-expect relative abundances (gcoda, cclasso) are switched to count input,
-since the pipeline always feeds counts.
+keys, unknown methods, and malformed values are hard errors.  A method runs
+at its documented defaults (:func:`taxonet.methods.default_params`) except
+for the fields the config sets.  Per-method seeds are not parameters: they
+all derive from the master ``seed``.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ from typing import Any
 from .consensus import BinarizationRule
 from .errors import ConfigError
 from .methods import METHOD_ORDER, default_params, default_rule
-
-# the pipeline feeds raw counts, so abundance-default methods flip this flag
-PIPELINE_PARAM_DEFAULTS: dict[str, dict[str, Any]] = {
-    "gcoda": {"counts": True},
-    "cclasso": {"counts": True},
-}
 
 ORIENTATIONS = ("samples_in_rows", "taxa_in_rows")
 
@@ -81,17 +74,10 @@ class PipelineConfig:
     def params_for(self, method: str):
         if method in self.method_params:
             return self.method_params[method]
-        return _with_pipeline_defaults(method)
+        return default_params(method)
 
     def rule_for(self, method: str) -> BinarizationRule:
         return self.rules.get(method, default_rule(method))
-
-
-def _with_pipeline_defaults(method: str):
-    params = default_params(method)
-    for k, v in PIPELINE_PARAM_DEFAULTS.get(method, {}).items():
-        params = replace(params, **{k: v})
-    return params
 
 
 def _parse_scalar(raw: str, key: str):
@@ -182,10 +168,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-_TOP_LEVEL = ("input", "orientation", "output", "seed", "jobs", "methods")
-_FILTER_KEYS = ("filter.min_prevalence", "filter.min_total")
-
-
 def build_config(raw: dict[str, str]) -> PipelineConfig:
     """Validate and type a raw key->value mapping into a PipelineConfig."""
     kwargs: dict[str, Any] = {}
@@ -236,7 +218,7 @@ def build_config(raw: dict[str, str]) -> PipelineConfig:
                     f"{key!r}: {method} has no parameter {fname!r} "
                     f"(known: {', '.join(sorted(field_names[method]))})"
                 )
-            params = method_params.get(method) or _with_pipeline_defaults(method)
+            params = method_params.get(method) or default_params(method)
             try:
                 method_params[method] = replace(params, **{fname: _parse_scalar(value, key)})
             except (TypeError, ValueError) as exc:

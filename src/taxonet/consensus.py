@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ConsensusError, RuleError, ThresholdError
 from .network import BinaryNetwork, MethodResult, network_from_mask
 
-NATIVE_SPARSE_METHODS = ("spieceasi_mb", "spieceasi_glasso", "spring", "gcoda", "cmimn")
-
 
 @dataclass(frozen=True)
 class BinarizationRule:

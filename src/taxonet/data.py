@@ -16,7 +16,6 @@ import numpy as np
 from .errors import FilterError, LoadError, TransformError
 
 ROW_SUM_TOL = 1e-10
-CLR_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class CompositionTable:
     values: np.ndarray
     taxa: list[str]
     samples: list[str]
-    pseudo: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -207,9 +205,7 @@ def to_composition(table: CountTable, pseudo: float = 0.5) -> CompositionTable:
         raise TransformError("pseudo=0 requires a table without zeros")
     shifted = v + pseudo
     comp = shifted / shifted.sum(axis=1, keepdims=True)
-    return CompositionTable(
-        values=comp, taxa=list(table.taxa), samples=list(table.samples), pseudo=pseudo
-    )
+    return CompositionTable(values=comp, taxa=list(table.taxa), samples=list(table.samples))
 
 
 def clr_transform(comp: CompositionTable) -> TransformedTable:

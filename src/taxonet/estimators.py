@@ -37,7 +37,6 @@ class SpieceasiParams:
     rep_num: int | None = None   # 20 for mb, 50 for glasso when unset
     pseudo: float = 0.5
     rule: str = "or"
-    seed: int = 0
 
     def resolved_rep_num(self, mode: str) -> int:
         if self.rep_num is not None:
@@ -51,12 +50,10 @@ class SpringParams:
     rep_num: int = 20
     lambda_min_ratio: float = 1e-2
     rule: str = "or"
-    seed: int = 0
 
 
 @dataclass
 class GcodaParams:
-    counts: bool = False
     pseudo: float = 0.5
     lambda_min_ratio: float = 1e-4
     nlambda: int = 15
@@ -88,14 +85,17 @@ def _mb_adjacency_steps(grams: np.ndarray, lams, rule: str):
 
 
 def spieceasi_fit(
-    table: CountTable, mode: str = "mb", params: SpieceasiParams | None = None
+    table: CountTable,
+    mode: str = "mb",
+    params: SpieceasiParams | None = None,
+    seed: int = 0,
 ) -> MethodResult:
     """Sparse inverse-covariance network on CLR data with stability-based
     penalty selection.
 
     ``mode="mb"`` uses neighborhood selection (OR rule); ``mode="glasso"``
     uses the graphical lasso with any nonzero off-diagonal counting as an
-    edge.
+    edge.  ``seed`` draws the subsamples.
     """
     if mode not in ("mb", "glasso"):
         raise EstimatorError(f"unknown mode {mode!r}")
@@ -120,7 +120,7 @@ def spieceasi_fit(
         x,
         fitter,
         path,
-        StarsParams(rep_num=rep_num, seed=params.seed),
+        StarsParams(rep_num=rep_num, seed=seed),
         taxa=table.taxa,
         provenance={"method": f"spieceasi_{mode}"},
     )
@@ -132,13 +132,7 @@ def spieceasi_fit(
         params=record,
         taxa=list(table.taxa),
         network=stars.network,
-        selection={
-            "lambda": stars.lam,
-            "lambda_index": stars.lambda_index,
-            "instability": stars.monotone_instability.tolist(),
-            "threshold_met": stars.threshold_met,
-            "unconverged_fits": stars.unconverged_fits,
-        },
+        selection=stars.selection(),
     )
 
 
@@ -155,12 +149,15 @@ def _latent_corr_values(counts: np.ndarray) -> np.ndarray:
     return nearest_psd_correlation(tau_bridge(tau))
 
 
-def spring_fit(table: CountTable, params: SpringParams | None = None) -> MethodResult:
+def spring_fit(
+    table: CountTable, params: SpringParams | None = None, seed: int = 0
+) -> MethodResult:
     """Rank-based partial-correlation network for zero-inflated counts.
 
     The latent correlation matrix (modified CLR + Kendall bridge) is the
     sufficient statistic; neighborhood selection runs directly on it, with
-    the penalty chosen by stability over subsamples of the raw counts.
+    the penalty chosen by stability over subsamples of the raw counts, which
+    ``seed`` draws.
     """
     params = params or SpringParams()
     corr = latent_correlation(table)
@@ -176,7 +173,7 @@ def spring_fit(table: CountTable, params: SpringParams | None = None) -> MethodR
         table.values,
         fitter,
         path,
-        StarsParams(rep_num=params.rep_num, seed=params.seed),
+        StarsParams(rep_num=params.rep_num, seed=seed),
         taxa=table.taxa,
         provenance={"method": "spring"},
     )
@@ -186,13 +183,7 @@ def spring_fit(table: CountTable, params: SpringParams | None = None) -> MethodR
         taxa=list(table.taxa),
         weighted=corr.values,
         network=stars.network,
-        selection={
-            "lambda": stars.lam,
-            "lambda_index": stars.lambda_index,
-            "instability": stars.monotone_instability.tolist(),
-            "threshold_met": stars.threshold_met,
-            "unconverged_fits": stars.unconverged_fits,
-        },
+        selection=stars.selection(),
     )
 
 
@@ -274,13 +265,11 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     shrunken fits.  A penalty whose support refit loses positive
     definiteness, as with p > n, is unscorable and never chosen; when the
     penalized fit itself fails, that penalty and every denser one are.
-    ``counts=True`` treats the input as raw counts needing the pseudo-count
-    before closure; ``counts=False`` expects already-positive relative
-    abundances.
+    ``pseudo`` is added before closure; relative abundances without zeros
+    can be fed as they are with ``pseudo=0``.
     """
     params = params or GcodaParams()
-    pseudo = params.pseudo if params.counts else 0.0
-    x = clr_transform(to_composition(table, pseudo=pseudo)).values
+    x = _clr_matrix(table, params.pseudo)
     s = np.cov(x, rowvar=False)
     p = table.n_taxa
     n = table.n_samples

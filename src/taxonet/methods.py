@@ -8,7 +8,7 @@ Hamming matrices, reports).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,22 +80,21 @@ def _run_correlation(method: str, table: CountTable, params: CorrelationParams, 
 
 def _run_sparcc(method, table, params: SparccParams, seed: int):
     corr = sparcc_fit(table, params, seed=seed)
-    record = asdict(params) | {"seed": seed}
     return MethodResult(
-        method="sparcc", params=record, taxa=list(table.taxa), weighted=corr.values
+        method="sparcc", params=asdict(params), taxa=list(table.taxa), weighted=corr.values
     )
 
 
 def _run_spieceasi_mb(method, table, params: SpieceasiParams, seed: int):
-    return spieceasi_fit(table, mode="mb", params=replace(params, seed=seed))
+    return spieceasi_fit(table, mode="mb", params=params, seed=seed)
 
 
 def _run_spieceasi_glasso(method, table, params: SpieceasiParams, seed: int):
-    return spieceasi_fit(table, mode="glasso", params=replace(params, seed=seed))
+    return spieceasi_fit(table, mode="glasso", params=params, seed=seed)
 
 
 def _run_spring(method, table, params: SpringParams, seed: int):
-    return spring_fit(table, replace(params, seed=seed))
+    return spring_fit(table, params, seed=seed)
 
 
 def _run_gcoda(method, table, params: GcodaParams, seed: int):
@@ -119,10 +118,10 @@ def _run_cmimn(method, table, params: CmimnParams, seed: int):
 
 
 def _run_cclasso(method, table, params: CclassoParams, seed: int):
-    fit = cclasso_fit(table, replace(params, seed=seed))
+    fit = cclasso_fit(table, params, seed=seed)
     return MethodResult(
         method="cclasso",
-        params=asdict(replace(params, seed=seed)),
+        params=asdict(params),
         taxa=list(table.taxa),
         weighted=fit.correlation.values,
         pvalues=fit.pvalues,
@@ -151,14 +150,11 @@ _REGISTRY = {
 }
 
 
-def params_class(method: str) -> type:
-    _require(method)
-    return _REGISTRY[method][0]
-
-
 def default_params(method: str):
-    """Fresh parameter record with every field at its documented default."""
-    return params_class(method)()
+    """Fresh parameter record with every field at its documented default:
+    the record the pipeline runs when the config sets none of its fields."""
+    _require(method)
+    return _REGISTRY[method][0]()
 
 
 def default_rule(method: str) -> BinarizationRule:

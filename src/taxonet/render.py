@@ -30,7 +30,7 @@ MARGIN = 50
 HEADER = 40
 
 
-def fr_layout(adj: np.ndarray, seed: int, iterations: int = LAYOUT_ITERATIONS) -> np.ndarray:
+def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
     """Fruchterman-Reingold embedding in the unit square.
 
     Runs a fixed iteration count with linear cooling; the only randomness
@@ -49,11 +49,11 @@ def fr_layout(adj: np.ndarray, seed: int, iterations: int = LAYOUT_ITERATIONS) -
     a = np.ascontiguousarray(np.asarray(adj, dtype=float).T)
     k = np.sqrt(1.0 / p)
     t = 0.1
-    dt = t / (iterations + 1)
+    dt = t / (LAYOUT_ITERATIONS + 1)
     x = pos[:, 0].copy()
     y = pos[:, 1].copy()
     dx, dy, dist, force, work = (np.empty((p, p)) for _ in range(5))
-    for _ in range(iterations):
+    for _ in range(LAYOUT_ITERATIONS):
         # dx[j, i] = x[i] - x[j]
         np.subtract(x, x[:, None], out=dx)
         np.subtract(y, y[:, None], out=dy)

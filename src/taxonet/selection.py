@@ -1,16 +1,18 @@
-"""Penalty paths and model selection: stability (subsampling) and EBIC."""
+"""Penalty paths and model selection: stability (subsampling) and the EBIC
+score and chooser."""
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import PathError, SelectionError
 from .network import BinaryNetwork, network_from_mask
+# nothing here calls it; kept because bench/layers.py wraps this attribute
 from .solvers import graphical_lasso
 
 DEFAULT_NLAMBDA = 15
@@ -83,6 +85,16 @@ class StarsResult:
     monotone_instability: np.ndarray
     threshold_met: bool
     unconverged_fits: int
+
+    def selection(self) -> dict:
+        """The selection block a StARS-selected method result carries."""
+        return {
+            "lambda": self.lam,
+            "lambda_index": self.lambda_index,
+            "instability": self.monotone_instability.tolist(),
+            "threshold_met": self.threshold_met,
+            "unconverged_fits": self.unconverged_fits,
+        }
 
 
 # a fitter maps an (R, m, p) stack of row subsamples and descending
@@ -172,16 +184,6 @@ def stars_select(
     )
 
 
-@dataclass
-class EbicResult:
-    network: BinaryNetwork
-    lam: float
-    lambda_index: int
-    scores: np.ndarray          # columns: lambda, ebic, edge count
-    gamma: float
-    all_converged: bool = True
-
-
 def ebic_score(loglik: float, n_edges: int, n: int, p: int, gamma: float) -> float:
     """-2*loglik + E*ln(n) + 4*E*gamma*ln(p)."""
     return -2.0 * loglik + n_edges * math.log(n) + 4.0 * n_edges * gamma * math.log(p)
@@ -196,50 +198,3 @@ def ebic_choose(scores: np.ndarray) -> int:
         key=lambda k: (round(scores[k, 1], 10), scores[k, 2], -scores[k, 0]),
     )
 
-
-def ebic_select(
-    s: np.ndarray,
-    n: int,
-    path: LambdaPath,
-    gamma: float = 0.5,
-    taxa=None,
-    provenance=None,
-) -> EbicResult:
-    """Fit the penalty path with the graphical lasso and keep the EBIC
-    minimizer (ties go to the sparser model, then to the larger penalty)."""
-    s = np.asarray(s, dtype=float)
-    p = s.shape[0]
-    lams = path.values
-    if len(lams) == 0:
-        raise SelectionError("empty penalty path")
-    rows = []
-    fits = []
-    any_converged = False
-    for lam in lams:
-        est = graphical_lasso(s, lam)
-        if est.converged:
-            any_converged = True
-        omega = est.omega
-        mask = (omega != 0) & ~np.eye(p, dtype=bool)
-        n_edges = int(mask.sum()) // 2
-        _, logdet = np.linalg.slogdet(omega)
-        loglik = (n / 2.0) * (logdet - float(np.sum(s * omega)))
-        rows.append((float(lam), ebic_score(loglik, n_edges, n, p, gamma), n_edges))
-        fits.append((mask, est))
-    if not any_converged:
-        raise SelectionError("no penalty produced a converged fit")
-    scores = np.array(rows)
-    sel = ebic_choose(scores)
-    mask, est = fits[sel]
-    prov = dict(provenance or {})
-    prov.update({"lambda": float(lams[sel]), "selection": "ebic", "gamma": gamma})
-    labels = taxa if taxa is not None else [f"V{i}" for i in range(p)]
-    net = network_from_mask(mask, labels, provenance=prov)
-    return EbicResult(
-        network=net,
-        lam=float(lams[sel]),
-        lambda_index=sel,
-        scores=scores,
-        gamma=gamma,
-        all_converged=all(e.converged for _, e in fits),
-    )

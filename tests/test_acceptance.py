@@ -19,7 +19,7 @@ from taxonet.config import build_config
 from taxonet.consensus import build_consensus, hamming_distance, threshold_network
 from taxonet.correlation import correlation_matrix, tau_bridge
 from taxonet.data import clr_transform, to_composition
-from taxonet.estimators import GcodaParams, gcoda_fit, spieceasi_fit
+from taxonet.estimators import gcoda_fit, spieceasi_fit
 from taxonet.exports import export_graph, import_edgelist_tsv
 from taxonet.network import BinaryNetwork
 from taxonet.pipeline import run_pipeline
@@ -89,7 +89,7 @@ def test_a02_chain_structure_recovery(capsys):
     truth = chain_edges(10)
     mb = spieceasi_fit(table, mode="mb")
     f1_mb = f1_score(mb.network.edge_set(), truth)
-    gc = gcoda_fit(table, GcodaParams(counts=True))
+    gc = gcoda_fit(table)
     f1_gc = f1_score(gc.network.edge_set(), truth)
     elapsed = time.perf_counter() - start
     ok = f1_mb >= 0.8 and f1_gc >= 0.7 and elapsed < 60.0

@@ -11,6 +11,9 @@ from taxonet.errors import EstimatorError
 
 from conftest import make_table
 
+# noise_table and planted_table are strictly positive: fed without a pseudo-count
+AS_IS = CclassoParams(pseudo=0.0)
+
 
 def noise_table(p=8, n=400, seed=21):
     rng = np.random.default_rng(seed)
@@ -55,7 +58,7 @@ class TestSolver:
 
 class TestFitNull:
     def test_iid_noise_is_flat_and_insignificant(self):
-        res = cclasso_fit(noise_table())
+        res = cclasso_fit(noise_table(), AS_IS)
         r = res.correlation.values
         off = r[~np.eye(8, dtype=bool)]
         assert np.abs(off).mean() < 0.1
@@ -65,7 +68,7 @@ class TestFitNull:
 
 class TestFitPlanted:
     def test_planted_pair_dominates(self):
-        res = cclasso_fit(planted_table())
+        res = cclasso_fit(planted_table(), AS_IS)
         r = np.abs(res.correlation.values.copy())
         np.fill_diagonal(r, 0.0)
         i, j = np.unravel_index(np.argmax(r), r.shape)
@@ -75,21 +78,21 @@ class TestFitPlanted:
 
 class TestResultInvariants:
     def test_correlation_is_psd_with_unit_diagonal(self):
-        res = cclasso_fit(planted_table(p=5, n=200, seed=4))
+        res = cclasso_fit(planted_table(p=5, n=200, seed=4), AS_IS)
         r = res.correlation.values
         np.testing.assert_allclose(np.diag(r), 1.0)
         assert np.linalg.eigvalsh(r).min() >= -1e-8
 
     def test_pvalues_symmetric_in_unit_interval(self):
-        res = cclasso_fit(noise_table(p=5, n=120, seed=2))
+        res = cclasso_fit(noise_table(p=5, n=120, seed=2), AS_IS)
         pv = res.pvalues
         np.testing.assert_array_equal(pv, pv.T)
         assert (pv >= 0.0).all() and (pv <= 1.0).all()
         np.testing.assert_array_equal(np.diag(pv), 0.0)
 
     def test_deterministic_under_seed(self):
-        a = cclasso_fit(noise_table(p=5, n=120, seed=2))
-        b = cclasso_fit(noise_table(p=5, n=120, seed=2))
+        a = cclasso_fit(noise_table(p=5, n=120, seed=2), AS_IS)
+        b = cclasso_fit(noise_table(p=5, n=120, seed=2), AS_IS)
         np.testing.assert_array_equal(a.correlation.values, b.correlation.values)
         np.testing.assert_array_equal(a.pvalues, b.pvalues)
         assert a.selected_lambda == b.selected_lambda
@@ -98,7 +101,6 @@ class TestResultInvariants:
 class TestParams:
     def test_defaults(self):
         params = CclassoParams()
-        assert params.counts is False
         assert params.pseudo == 0.5
         assert params.k_cv == 3
         assert params.lam_int == (1e-4, 1.0)
@@ -107,7 +109,7 @@ class TestParams:
 
     def test_small_folds_rejected(self):
         with pytest.raises(EstimatorError, match="fold"):
-            cclasso_fit(noise_table(p=4, n=8, seed=0))
+            cclasso_fit(noise_table(p=4, n=8, seed=0), AS_IS)
 
     def test_nonpositive_values_need_counts_flag(self):
         rng = np.random.default_rng(1)
@@ -115,6 +117,6 @@ class TestParams:
         table = make_table(vals)
         assert (vals == 0).any()
         with pytest.raises(EstimatorError, match="positive"):
-            cclasso_fit(table)
-        res = cclasso_fit(table, CclassoParams(counts=True))
+            cclasso_fit(table, CclassoParams(pseudo=0.0))
+        res = cclasso_fit(table)
         assert res.correlation.values.shape == (5, 5)

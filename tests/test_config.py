@@ -58,10 +58,11 @@ class TestBuildConfig:
 
     def test_pipeline_flips_abundance_methods_to_count_input(self):
         cfg = build_config({})
-        # reference defaults expect relative abundances; the pipeline feeds counts
-        assert default_params("gcoda").counts is False
-        assert cfg.params_for("gcoda").counts is True
-        assert cfg.params_for("cclasso").counts is True
+        # the abundance methods' defaults already take counts (pseudo 0.5),
+        # and the pipeline runs the defaults unchanged
+        for m in ("gcoda", "cclasso"):
+            assert cfg.params_for(m) == default_params(m)
+            assert cfg.params_for(m).pseudo == 0.5
 
     def test_method_subset_is_reordered_canonically(self):
         cfg = build_config({"methods": "sparcc,pearson,gcoda"})
@@ -95,12 +96,28 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=f"spring has no parameter '{key}'"):
             build_config({f"spring.{key}": "approx"})
 
+    @pytest.mark.parametrize(
+        "method, key",
+        [
+            ("spieceasi_mb", "seed"),
+            ("spieceasi_glasso", "seed"),
+            ("spring", "seed"),
+            ("cclasso", "seed"),
+            ("gcoda", "counts"),
+            ("cclasso", "counts"),
+        ],
+    )
+    def test_removed_seed_and_counts_options_are_unknown(self, method, key):
+        # seeds derive from the master seed; counts=False is pseudo = 0
+        with pytest.raises(ConfigError, match=f"{method} has no parameter '{key}'"):
+            build_config({f"{method}.{key}": "5"})
+
     def test_typed_overrides(self):
         cfg = build_config(
             {
                 "sparcc.alpha": "0.2",
                 "sparcc.imax": "5",
-                "gcoda.counts": "false",
+                "gcoda.pseudo": "0.0",
                 "spieceasi_mb.nlambda": "20",
                 "cclasso.lam_int": "0.001,0.5",
             }
@@ -108,7 +125,7 @@ class TestBuildConfig:
         sparcc = cfg.params_for("sparcc")
         assert sparcc.alpha == 0.2 and isinstance(sparcc.alpha, float)
         assert sparcc.imax == 5 and isinstance(sparcc.imax, int)
-        assert cfg.params_for("gcoda").counts is False
+        assert cfg.params_for("gcoda").pseudo == 0.0
         assert cfg.params_for("spieceasi_mb").nlambda == 20
         assert cfg.params_for("cclasso").lam_int == (0.001, 0.5)
 
@@ -211,7 +228,7 @@ class TestEchoRoundTrip:
         cfg = build_config({"methods": "pearson,gcoda"})
         text = config_to_text(cfg)
         assert "pearson.transform = clr" in text
-        assert "gcoda.counts = true" in text
+        assert "gcoda.pseudo = 0.5" in text
         assert "binarize.gcoda = native_sparse" in text
         # disabled methods are absent
         assert "sparcc." not in text

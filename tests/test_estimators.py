@@ -192,30 +192,29 @@ class TestStarsEarlyStop:
 class TestGcoda:
     def test_defaults(self):
         params = GcodaParams()
-        assert params.counts is False
         assert params.pseudo == 0.5
         assert params.lambda_min_ratio == 1e-4
         assert params.nlambda == 15
         assert params.ebic_gamma == 0.5
 
     def test_chain_recovery(self):
-        fit = gcoda_fit(chain_count_table(), GcodaParams(counts=True))
+        fit = gcoda_fit(chain_count_table())
         f1 = f1_score(fit.network.edge_set(), chain_edges(10))
         assert f1 >= 0.7
 
     def test_no_signal_gives_empty_network(self):
-        fit = gcoda_fit(iid_noise_table(), GcodaParams(counts=True))
+        fit = gcoda_fit(iid_noise_table())
         assert fit.network.n_edges == 0
 
     def test_composition_input_without_pseudo(self):
-        # counts=False expects strictly positive relative abundances
+        # pseudo=0 feeds strictly positive relative abundances as they are
         rng = np.random.default_rng(5)
         comp = rng.dirichlet(np.full(6, 8.0), size=200)
-        fit = gcoda_fit(make_table(comp, prefix="C"), GcodaParams(counts=False))
+        fit = gcoda_fit(make_table(comp, prefix="C"), GcodaParams(pseudo=0.0))
         assert fit.network.adj.shape == (6, 6)
 
     def test_selection_reports_ebic(self):
-        fit = gcoda_fit(chain_count_table(p=6, n=120, seed=4), GcodaParams(counts=True))
+        fit = gcoda_fit(chain_count_table(p=6, n=120, seed=4))
         assert "ebic" in fit.selection
         assert "lambda" in fit.selection
         assert fit.selection["lambda_index"] >= 0
@@ -235,7 +234,7 @@ class TestGcoda:
 
         monkeypatch.setattr(estimators, "_gcoda_solve", recording)
         table = chain_count_table(p=6, n=120, seed=4)
-        params = GcodaParams(counts=True)
+        params = GcodaParams()
         fit = gcoda_fit(table, params)
 
         # reference: every penalty scored with a refit of its own
@@ -260,7 +259,7 @@ class TestGcoda:
         rng = np.random.default_rng(3)
         counts = rng.poisson(rng.uniform(5, 60, size=6), size=(4, 6))
         with caplog.at_level(logging.WARNING, logger="taxonet"):
-            fit = gcoda_fit(make_table(counts), GcodaParams(counts=True, nlambda=8))
+            fit = gcoda_fit(make_table(counts), GcodaParams(nlambda=8))
         sel = fit.selection
         rows = sel["ebic"]
         assert [row[0] for row in rows] == sorted((row[0] for row in rows), reverse=True)
@@ -284,7 +283,7 @@ class TestGcoda:
             return solve(s, lam, omega0=omega0)
 
         monkeypatch.setattr(estimators, "_gcoda_solve", failing)
-        fit = gcoda_fit(chain_count_table(p=6, n=120, seed=4), GcodaParams(counts=True))
+        fit = gcoda_fit(chain_count_table(p=6, n=120, seed=4))
         rows = fit.selection["ebic"]
         assert len(penalized) == 4 and len(rows) == 15
         assert fit.selection["unscorable"] == list(range(3, 15))
@@ -302,4 +301,4 @@ class TestGcoda:
 
         monkeypatch.setattr(estimators, "_gcoda_solve", failing_refits)
         with pytest.raises(EstimatorError, match="no penalty could be scored"):
-            gcoda_fit(chain_count_table(p=6, n=60, seed=4), GcodaParams(counts=True, nlambda=4))
+            gcoda_fit(chain_count_table(p=6, n=60, seed=4), GcodaParams(nlambda=4))

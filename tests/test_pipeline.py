@@ -156,6 +156,23 @@ class TestManifest:
         for m in back.methods:
             assert back.params_for(m) == run.config.params_for(m)
 
+    def test_every_echoed_setting_is_the_one_that_ran(self, tmp_path):
+        # all ten methods on 6 taxa: every setting the echo spells out (bar
+        # the unset ones, echoed as none) must be the value the method used
+        run_pipeline(
+            build_config({"methods": "all", "output": str(tmp_path), "seed": "3"}),
+            table=small_counts(p=6),
+        )
+        echo = build_config(parse_config_text((tmp_path / "config_echo.txt").read_text()))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failed_methods"] == []
+        for m in echo.methods:
+            recorded = manifest["methods"][m]["params"]
+            for name, value in vars(echo.params_for(m)).items():
+                if value is not None:
+                    want = list(value) if isinstance(value, tuple) else value
+                    assert recorded[name] == want, f"{m}.{name}"
+
 
 class TestPartialFailure:
     def fail_one(self, monkeypatch, broken):

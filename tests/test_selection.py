@@ -7,7 +7,6 @@ from taxonet import (
     SelectionError,
     StarsParams,
     ebic_score,
-    ebic_select,
     lambda_path,
     stars_select,
 )
@@ -249,41 +248,3 @@ class TestEbicChoose:
     def test_then_to_the_larger_penalty(self):
         scores = np.array([[0.1, 9.0, 3], [0.5, 9.0, 3], [0.2, 9.0, 3]])
         assert ebic_choose(scores) == 1
-
-
-class TestEbicSelect:
-    def test_identity_covariance_gives_empty_network(self):
-        res = ebic_select(np.eye(5), n=100, path=two_lambda_path())
-        assert res.network.n_edges == 0
-        np.testing.assert_array_equal(res.scores[:, 2], 0.0)
-
-    def test_tie_breaks_toward_larger_penalty(self):
-        # identical scores at both penalties on the identity input
-        res = ebic_select(np.eye(4), n=50, path=two_lambda_path())
-        assert res.lambda_index == 0
-        assert res.lam == pytest.approx(0.5)
-
-    def test_two_planted_partials_are_selected(self):
-        # two disjoint strong conditional dependencies; the selected model
-        # must contain both, whatever else the penalty lets through
-        p = 5
-        n = 500
-        omega = np.eye(p)
-        omega[0, 1] = omega[1, 0] = -0.45
-        omega[2, 3] = omega[3, 2] = -0.45
-        rng = np.random.default_rng(7)
-        chol = np.linalg.cholesky(np.linalg.inv(omega))
-        x = rng.standard_normal((n, p)) @ chol.T
-        s = np.corrcoef(x, rowvar=False)
-        path = lambda_path(s, nlambda=12, lambda_min_ratio=1e-2)
-        res = ebic_select(s, n=n, path=path, gamma=0.5)
-        edges = res.network.edge_set()
-        assert (0, 1) in edges
-        assert (2, 3) in edges
-
-    def test_scores_table_shape(self):
-        res = ebic_select(np.eye(3), n=30, path=two_lambda_path(), gamma=0.25)
-        assert res.scores.shape == (2, 3)
-        np.testing.assert_allclose(res.scores[:, 0], [0.5, 0.05])
-        assert res.gamma == 0.25
-        assert res.all_converged
