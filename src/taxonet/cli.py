@@ -2,33 +2,36 @@
 
 Verbs::
 
-    taxonet run       --input counts.tsv [--config cfg] [--out DIR] [--seed N]
+    taxonet run       --input counts.tsv [--config cfg] [--out DIR] [--seed N] [--jobs N]
     taxonet threshold --t K --out DIR
     taxonet export    --format graphml|dot|edgelist_tsv --out DIR
     taxonet sweep     --out DIR
     taxonet hamming   --out DIR
-    taxonet render    --out DIR [--seed N]
+    taxonet render    --out DIR
 
-``run`` executes the full pipeline; the other verbs operate on a finished
-run directory.  Exit codes: 0 clean, 2 usage or data errors, 3 when one or
-more methods failed (the consensus of the survivors is still written).
+``run`` executes the full pipeline.  Its flags set the config keys of the
+same name (``--out`` sets ``output``) over the config file's entries.  The
+other verbs operate on a finished run directory; ``render`` lays the SVGs
+out with the seed recorded in the run's manifest.  Exit codes: 0 clean, 2
+usage or data errors, 3 when one or more methods failed (the consensus of
+the survivors is still written).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 
-from .config import PipelineConfig, build_config, load_config
+from .config import ORIENTATIONS, PipelineConfig, build_config, load_config
 from .consensus import threshold_network, threshold_sweep
-from .errors import ConfigError, TaxonetError
+from .errors import ConfigError, ConsensusError, TaxonetError
 from .exports import EXPORT_FORMATS, export_graph
 from .pipeline import (
     load_consensus,
     read_labeled_matrix,
+    read_manifest,
     run_pipeline,
     _write_labeled_matrix,
 )
@@ -37,8 +40,6 @@ from .render import render_hamming_heatmap, render_network_svg, render_threshold
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="configuration file (dotted key = value lines)")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--jobs", type=int, help="worker process count")
     parser.add_argument("--out", help="output directory")
 
 
@@ -52,8 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full pipeline")
     _add_common(p_run)
     p_run.add_argument("--input", help="count table (samples x taxa by default)")
-    p_run.add_argument("--orientation", choices=("samples_in_rows", "taxa_in_rows"))
+    p_run.add_argument("--orientation", help=f"one of {', '.join(ORIENTATIONS)}")
     p_run.add_argument("--methods", help="comma-separated method subset (default: all)")
+    p_run.add_argument("--seed", help="master seed")
+    p_run.add_argument("--jobs", help="worker process count")
 
     p_thr = sub.add_parser("threshold", help="threshold a finished run's consensus")
     _add_common(p_thr)
@@ -75,23 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else build_config({})
-    updates = {}
-    if getattr(args, "input", None):
-        updates["input_path"] = args.input
-    if getattr(args, "orientation", None):
-        updates["orientation"] = args.orientation
-    if getattr(args, "methods", None):
-        updates["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    if args.out:
-        updates["output_dir"] = args.out
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    flags = {"input": args.input, "orientation": args.orientation, "methods": args.methods,
+             "seed": args.seed, "jobs": args.jobs, "output": args.out}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return load_config(args.config, flags) if args.config else build_config(flags)
 
 
 def _out_dir(args) -> str:
@@ -159,8 +149,10 @@ def _cmd_hamming(args) -> int:
 
 def _cmd_render(args) -> int:
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
     c = load_consensus(out)
+    seed = read_manifest(out).get("seed")
+    if not isinstance(seed, int):
+        raise ConsensusError(f"the run manifest in {out} records no seed")
     layouts: dict = {}
     paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
     union = threshold_network(c, 0)

@@ -10,29 +10,29 @@ Example::
     sparcc.alpha = 0.1
     binarize.sparcc = abs_threshold:0.4
 
-Every method parameter is addressable as ``<method>.<field>``.  Unknown
-keys, unknown methods, and malformed values are hard errors.  A method runs
-at its documented defaults (:func:`taxonet.methods.default_params`) except
-for the fields the config sets.  Per-method seeds are not parameters: they
-all derive from the master ``seed``.
+Every method parameter is addressable as ``<method>.<field>``.  Each value
+is converted once, to the type its dataclass field declares; a field typed
+``Literal[...]`` lists its choices.  Unknown keys, unknown methods, and
+malformed values are hard errors that name their key.  A method runs at its
+documented defaults (:func:`taxonet.methods.default_params`) except for the
+fields the config sets.  Per-method seeds are not parameters: they all
+derive from the master ``seed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 from .consensus import BinarizationRule
 from .errors import ConfigError
 from .methods import METHOD_ORDER, default_params, default_rule
 
-ORIENTATIONS = ("samples_in_rows", "taxa_in_rows")
-
 
 @dataclass
 class PipelineConfig:
     input_path: str | None = None
-    orientation: str = "samples_in_rows"
+    orientation: Literal["samples_in_rows", "taxa_in_rows"] = "samples_in_rows"
     output_dir: str = "taxonet_out"
     seed: int = 0
     jobs: int = 1
@@ -80,28 +80,48 @@ class PipelineConfig:
         return self.rules.get(method, default_rule(method))
 
 
-def _parse_scalar(raw: str, key: str):
-    text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null"):
-        return None
-    if "," in text:
-        try:
-            parts = tuple(float(p) for p in text.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {text!r} as a number list") from exc
-        return parts
+ORIENTATIONS = get_args(get_type_hints(PipelineConfig)["orientation"])
+
+# each top-level key and the PipelineConfig field it sets, in echo order
+SETTINGS = {
+    "input": "input_path",
+    "orientation": "orientation",
+    "output": "output_dir",
+    "seed": "seed",
+    "jobs": "jobs",
+    "methods": "methods",
+    "filter.min_prevalence": "min_prevalence",
+    "filter.min_total": "min_total",
+}
+
+
+def _typed(text: str, hint, key: str):
+    """``text`` as a value of ``hint``, the type of the field ``key`` sets."""
+    args = get_args(hint)
+    if type(None) in args:
+        if text.lower() in ("none", "null"):
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _typed(text, hint, key)
+    if get_origin(hint) is Literal:
+        if text not in args:
+            raise ConfigError(f"{key} must be one of {', '.join(args)}, got {text!r}")
+        return text
+    if get_origin(hint) is tuple:
+        parts = [p.strip() for p in text.split(",")]
+        types = args[:1] * len(parts) if args[-1] is Ellipsis else args
+        if len(parts) != len(types):
+            raise ConfigError(f"{key} must be {len(types)} comma-separated values, got {text!r}")
+        return tuple(_typed(p, t, key) for p, t in zip(parts, types))
+    if hint is bool:
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"{key} must be true or false, got {text!r}")
+        return text.lower() == "true"
     try:
-        return int(text)
+        return hint(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        kind = "an integer" if hint is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
 
 
 def parse_rule(raw: str) -> BinarizationRule:
@@ -170,72 +190,42 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def build_config(raw: dict[str, str]) -> PipelineConfig:
     """Validate and type a raw key->value mapping into a PipelineConfig."""
+    hints = get_type_hints(PipelineConfig)
     kwargs: dict[str, Any] = {}
     method_params: dict[str, Any] = {}
     rules: dict[str, BinarizationRule] = {}
-
-    field_names = {
-        m: {f.name for f in fields(type(default_params(m)))} for m in METHOD_ORDER
-    }
-
     for key, value in raw.items():
-        if key == "input":
-            kwargs["input_path"] = value
-        elif key == "orientation":
-            kwargs["orientation"] = value
-        elif key == "output":
-            kwargs["output_dir"] = value
-        elif key == "seed":
-            v = _parse_scalar(value, key)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"seed must be an integer, got {value!r}")
-            kwargs["seed"] = v
-        elif key == "jobs":
-            v = _parse_scalar(value, key)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"jobs must be an integer, got {value!r}")
-            kwargs["jobs"] = v
-        elif key == "methods":
-            if value.strip() == "all":
-                kwargs["methods"] = METHOD_ORDER
-            else:
-                kwargs["methods"] = tuple(m.strip() for m in value.split(","))
-        elif key == "filter.min_prevalence":
-            kwargs["min_prevalence"] = float(_parse_scalar(value, key))
-        elif key == "filter.min_total":
-            kwargs["min_total"] = float(_parse_scalar(value, key))
-        elif key.startswith("binarize."):
-            method = key[len("binarize."):]
-            if method not in METHOD_ORDER:
-                raise ConfigError(f"binarization rule for unknown method {method!r}")
-            rules[method] = parse_rule(value)
-        elif "." in key:
-            method, _, fname = key.partition(".")
-            if method not in METHOD_ORDER:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            if fname not in field_names[method]:
+        section, _, name = key.partition(".")
+        if key in SETTINGS:
+            if key == "methods" and value.strip() == "all":
+                value = ",".join(METHOD_ORDER)
+            kwargs[SETTINGS[key]] = _typed(value, hints[SETTINGS[key]], key)
+        elif section == "binarize" and name:
+            if name not in METHOD_ORDER:
+                raise ConfigError(f"binarization rule for unknown method {name!r}")
+            rules[name] = parse_rule(value)
+        elif section in METHOD_ORDER and name:
+            params = method_params.get(section) or default_params(section)
+            types = get_type_hints(type(params))
+            if name not in types:
                 raise ConfigError(
-                    f"{key!r}: {method} has no parameter {fname!r} "
-                    f"(known: {', '.join(sorted(field_names[method]))})"
+                    f"{key!r}: {section} has no parameter {name!r} "
+                    f"(known: {', '.join(sorted(types))})"
                 )
-            params = method_params.get(method) or default_params(method)
-            try:
-                method_params[method] = replace(params, **{fname: _parse_scalar(value, key)})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key!r}: invalid value {value!r}: {exc}") from exc
+            method_params[section] = replace(params, **{name: _typed(value, types[name], key)})
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
-
     return PipelineConfig(method_params=method_params, rules=rules, **kwargs)
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, overrides: dict[str, str] | None = None) -> PipelineConfig:
+    """The config file at ``path``, with ``overrides`` laid over its entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return build_config(parse_config_text(text, source=str(path)))
+    return build_config({**parse_config_text(text, source=str(path)), **(overrides or {})})
 
 
 def _format_value(v: Any) -> str:
@@ -243,8 +233,8 @@ def _format_value(v: Any) -> str:
         return "true" if v else "false"
     if v is None:
         return "none"
-    if isinstance(v, (tuple, list)):
-        return ",".join(repr(float(x)) for x in v)
+    if isinstance(v, tuple):
+        return ",".join(x if isinstance(x, str) else repr(float(x)) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -257,16 +247,11 @@ def config_to_text(cfg: PipelineConfig) -> str:
     so the echo reproduces the run even where defaults were used.  Feeding
     the echo back through the parser yields an equivalent config.
     """
-    lines = []
-    if cfg.input_path is not None:
-        lines.append(f"input = {cfg.input_path}")
-    lines.append(f"orientation = {cfg.orientation}")
-    lines.append(f"output = {cfg.output_dir}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"jobs = {cfg.jobs}")
-    lines.append(f"methods = {','.join(cfg.methods)}")
-    lines.append(f"filter.min_prevalence = {_format_value(cfg.min_prevalence)}")
-    lines.append(f"filter.min_total = {_format_value(cfg.min_total)}")
+    lines = [
+        f"{key} = {_format_value(getattr(cfg, name))}"
+        for key, name in SETTINGS.items()
+        if getattr(cfg, name) is not None
+    ]
     for m in cfg.methods:
         params = cfg.params_for(m)
         for f in fields(type(params)):

@@ -116,13 +116,16 @@ def load_count_table(path, orientation: str = "samples_in_rows") -> CountTable:
     """
     if orientation not in ("samples_in_rows", "taxa_in_rows"):
         raise LoadError(f"unknown orientation {orientation!r}")
-    with open(path, "r", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise LoadError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        fh.seek(0)
-        rows = [row for row in csv.reader(fh, delimiter=delim)]
+    try:
+        with open(path, "r", newline="") as fh:
+            first = fh.readline()
+            if not first.strip():
+                raise LoadError(f"{path}: empty file")
+            delim = _sniff_delimiter(first)
+            fh.seek(0)
+            rows = [row for row in csv.reader(fh, delimiter=delim)]
+    except OSError as exc:
+        raise LoadError(f"cannot read count table {path!r}: {exc}") from exc
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     header = rows[0]
     col_labels = [c.strip() for c in header[1:]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class SpieceasiParams:
     nlambda: int = 15
     rep_num: int | None = None   # 20 for mb, 50 for glasso when unset
     pseudo: float = 0.5
-    rule: str = "or"
+    rule: Literal["or", "and"] = "or"
 
     def resolved_rep_num(self, mode: str) -> int:
         if self.rep_num is not None:
@@ -49,7 +50,7 @@ class SpringParams:
     nlambda: int = 15
     rep_num: int = 20
     lambda_min_ratio: float = 1e-2
-    rule: str = "or"
+    rule: Literal["or", "and"] = "or"
 
 
 @dataclass

@@ -9,6 +9,7 @@ Hamming matrices, reports).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Literal, get_args, get_type_hints
 
 import numpy as np
 
@@ -42,16 +43,17 @@ METHOD_ORDER = (
     "cclasso",
 )
 
-CORRELATION_TRANSFORMS = ("clr", "log", "mclr", "raw")
-
 
 @dataclass
 class CorrelationParams:
     """Settings for the plain correlation estimators (pearson, spearman,
     bicor): which transform feeds them, and the pseudo-count it uses."""
 
-    transform: str = "clr"
+    transform: Literal["clr", "log", "mclr", "raw"] = "clr"
     pseudo: float = 0.5
+
+
+CORRELATION_TRANSFORMS = get_args(get_type_hints(CorrelationParams)["transform"])
 
 
 def _transformed(table: CountTable, params: CorrelationParams):

@@ -194,22 +194,6 @@ def read_labeled_matrix(path):
     return labels, np.array(rows, dtype=np.int64)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_artifacts(run: PipelineRun) -> list[str]:
     out = run.out_dir
     os.makedirs(out, exist_ok=True)
@@ -273,8 +257,8 @@ def write_artifacts(run: PipelineRun) -> list[str]:
                 "seed": r.seed,
                 "seconds": round(r.seconds, 6),
                 "rule": r.rule,
-                "params": _jsonable(r.result.params) if r.result else None,
-                "selection": _jsonable(r.result.selection) if r.result else None,
+                "params": r.result.params if r.result else None,
+                "selection": r.result.selection if r.result else None,
             }
             for m, r in run.runs.items()
         },
@@ -326,15 +310,19 @@ def run_pipeline(cfg: PipelineConfig, table: CountTable | None = None) -> Pipeli
     return run
 
 
+def read_manifest(out_dir) -> dict:
+    """The run record of a finished run directory."""
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConsensusError(f"cannot read run manifest {path}: {exc}") from exc
+
+
 def load_consensus(out_dir) -> WeightedConsensus:
     """Rebuild the consensus of a finished run from its artifact directory."""
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConsensusError(f"cannot read run manifest {manifest_path}: {exc}") from exc
-    methods = manifest.get("consensus_methods") or []
+    methods = read_manifest(out_dir).get("consensus_methods") or []
     if len(methods) < 2:
         raise ConsensusError(f"run in {out_dir} has no consensus (methods: {methods})")
     nets = []

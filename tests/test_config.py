@@ -1,6 +1,8 @@
 """Configuration parsing, validation, typed overrides, and the canonical
 echo round trip."""
 
+import re
+
 import pytest
 
 from taxonet.config import (
@@ -128,6 +130,29 @@ class TestBuildConfig:
         assert cfg.params_for("gcoda").pseudo == 0.0
         assert cfg.params_for("spieceasi_mb").nlambda == 20
         assert cfg.params_for("cclasso").lam_int == (0.001, 0.5)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("filter.min_prevalence", "abc"),
+            ("filter.min_total", "1,2"),
+            ("spieceasi_mb.nlambda", "2.5"),
+            ("gcoda.lambda_min_ratio", "small"),
+            ("cclasso.lam_int", "0.5"),
+            ("pearson.transform", "7"),
+            ("cmimn.quantitative", "3"),
+            ("spring.rule", "5"),
+        ],
+    )
+    def test_value_not_of_its_field_type_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_config({key: value})
+
+    def test_values_take_the_type_their_field_declares(self):
+        cfg = build_config({"gcoda.pseudo": "0", "spieceasi_mb.rep_num": "none"})
+        pseudo = cfg.params_for("gcoda").pseudo
+        assert pseudo == 0.0 and isinstance(pseudo, float)
+        assert cfg.params_for("spieceasi_mb").rep_num is None
 
     def test_untouched_fields_keep_their_defaults(self):
         cfg = build_config({"sparcc.alpha": "0.2"})

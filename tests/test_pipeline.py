@@ -304,8 +304,50 @@ class TestCli:
         assert main(["hamming", "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("method\t")
 
-        assert main(["render", "--out", str(out), "--seed", "9"]) == 0
+        assert main(["render", "--out", str(out)]) == 0
         assert "rendered" in capsys.readouterr().out
+
+    def test_bad_config_value_exits_2_before_any_output(self, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        write_counts_tsv(counts, small_counts())
+        conf = tmp_path / "run.conf"
+        conf.write_text("filter.min_prevalence = abc\n")
+        out = tmp_path / "o"
+        code = main(["run", "--input", str(counts), "--config", str(conf), "--out", str(out)])
+        assert code == 2
+        assert "filter.min_prevalence must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", ["", "missing.tsv"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, path):
+        out = tmp_path / "o"
+        assert main(["run", "--input", path, "--out", str(out)]) == 2
+        assert "cannot read count table" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_overrides_the_config_file(self, tmp_path):
+        counts = tmp_path / "counts.tsv"
+        write_counts_tsv(counts, small_counts())
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"methods = {FAST_METHODS}\nseed = 3\n")
+        out = tmp_path / "o"
+        code = main(["run", "--input", str(counts), "--config", str(conf), "--seed", "5",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+        assert "seed = 5\n" in (out / "config_echo.txt").read_text()
+
+    def test_render_redraws_the_run_svgs_byte_for_byte(self, tmp_path):
+        counts = tmp_path / "counts.tsv"
+        write_counts_tsv(counts, small_counts())
+        out = tmp_path / "o"
+        code = main(["run", "--input", str(counts), "--methods", FAST_METHODS,
+                     "--seed", "7", "--out", str(out)])
+        assert code == 0
+        svgs = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+        assert "consensus_network.svg" in svgs
+        assert main(["render", "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == svgs
 
     def test_run_without_input_is_a_usage_error(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--methods", FAST_METHODS])

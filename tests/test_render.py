@@ -341,7 +341,7 @@ class TestOneLayoutPerNetwork:
     ):
         run = self.run(tmp_path, monkeypatch)
         calls = self.count_layouts(monkeypatch)
-        assert main(["render", "--out", str(tmp_path), "--seed", str(self.seed)]) == 0
+        assert main(["render", "--out", str(tmp_path)]) == 0
         assert set(calls) == self.distinct_networks(run.consensus)
         assert set(calls.values()) == {1}
 
@@ -350,7 +350,7 @@ class TestOneLayoutPerNetwork:
         self.run(memo_dir, monkeypatch)
         memo = self.svgs(memo_dir)
         assert "network_t3.svg" in memo and "consensus_network.svg" in memo
-        assert main(["render", "--out", str(memo_dir), "--seed", str(self.seed)]) == 0
+        assert main(["render", "--out", str(memo_dir)]) == 0
         assert self.svgs(memo_dir) == memo
         # every drawing laid out afresh by the (p, p, 2) reference
         monkeypatch.setattr(
