@@ -4,8 +4,10 @@ least-squares fit.
 The CLR covariance of the observed compositions only identifies the latent
 covariance up to the centering projection F = I - J/p, so the estimate
 minimizes ||F Sigma F - S_clr||^2 with an l1 penalty on the off-diagonal,
-solved by alternating-direction (ADMM) updates.  The quadratic step has a
-closed form in the eigenbasis of F.  The penalty is picked by k-fold
+solved by alternating-direction (ADMM) updates.  F is an orthogonal
+projection, so A(X) = F X F is one too, and the quadratic step
+(A + rho I) Sigma = B has the closed form (B - F B F / (1 + rho)) / rho,
+where F X F is double centering.  The penalty is picked by k-fold
 cross-validation with a golden-section search over a fixed interval, and
 edge significance comes from bootstrap refits.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .data import CountTable
+from .data import CountTable, clr_transform, to_composition
 from .errors import EstimatorError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,38 +47,29 @@ class CclassoResult:
     converged: bool
 
 
-def _clr_covariance(x: np.ndarray) -> np.ndarray:
-    logs = np.log(x)
-    clr = logs - logs.mean(axis=1, keepdims=True)
-    return np.cov(clr, rowvar=False)
-
-
-def _centering_basis(p: int):
-    """Orthonormal eigenbasis of F = I - J/p and the 0/1 eigenvalue mask."""
-    f = np.eye(p) - np.full((p, p), 1.0 / p)
-    eigval, eigvec = np.linalg.eigh(f)
-    mask = (eigval > 0.5).astype(float)
-    return eigvec, mask
+def _centered(x: np.ndarray) -> np.ndarray:
+    """F X F for F = I - J/p: subtract the column means, then the row means."""
+    x = x - x.mean(axis=0, keepdims=True)
+    return x - x.mean(axis=1, keepdims=True)
 
 
 def cclasso_solve(s: np.ndarray, lam: float, max_iter: int = 20):
     """ADMM for min 0.5*||F Sigma F - S||_F^2 + lam*sum_offdiag|Sigma_ij|,
     started from Sigma = S.
 
+    The quadratic step solves (A + rho I) Sigma = B with A(X) = F X F; as A
+    is an orthogonal projection, Sigma = (B - A(B) / (1 + rho)) / rho.
     Returns the sparse iterate (exact zeros from soft thresholding) and a
     convergence flag.
     """
     s = np.asarray(s, dtype=float)
-    p = s.shape[0]
-    q, mask = _centering_basis(p)
-    denom = np.outer(mask, mask) + ADMM_RHO
-    sfs_t = q.T @ s @ q * np.outer(mask, mask)   # F S F in the eigenbasis
+    sfs = _centered(s)
     z = s.copy()
     u = np.zeros_like(s)
     converged = False
     for _ in range(max_iter):
-        b_t = sfs_t + ADMM_RHO * (q.T @ (z - u) @ q)
-        sigma = q @ (b_t / denom) @ q.T
+        b = sfs + ADMM_RHO * (z - u)
+        sigma = (b - _centered(b) / (1.0 + ADMM_RHO)) / ADMM_RHO
         sigma = 0.5 * (sigma + sigma.T)
         z_old = z
         w = sigma + u
@@ -93,9 +86,7 @@ def cclasso_solve(s: np.ndarray, lam: float, max_iter: int = 20):
 
 
 def _projection_loss(sigma: np.ndarray, s_test: np.ndarray) -> float:
-    p = sigma.shape[0]
-    f = np.eye(p) - np.full((p, p), 1.0 / p)
-    diff = f @ sigma @ f - s_test
+    diff = _centered(sigma) - s_test
     return 0.5 * float((diff**2).sum())
 
 
@@ -151,45 +142,39 @@ def cclasso_fit(
     the bootstrap samples.
     """
     params = params or CclassoParams()
-    v = table.values
     n = table.n_samples
     if n // params.k_cv < 3:
         raise EstimatorError(
             f"cross-validation folds would have fewer than 3 samples (n={n}, k_cv={params.k_cv})"
         )
-    x = v + params.pseudo
-    if (x <= 0).any():
-        raise EstimatorError("cclasso needs strictly positive values; use pseudo > 0 with zeros")
-    x = x / x.sum(axis=1, keepdims=True)
-    s_full = _clr_covariance(x)
+    clr = clr_transform(to_composition(table, params.pseudo)).values
+
+    def cov(rows) -> np.ndarray:
+        return np.cov(clr[rows], rowvar=False)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(n)
-    folds = np.array_split(order, params.k_cv)
+    splits = [(cov(np.setdiff1d(order, holdout)), cov(holdout))
+              for holdout in np.array_split(order, params.k_cv)]
 
     def cv_loss(lam: float) -> float:
         total = 0.0
-        for holdout in folds:
-            train = np.setdiff1d(order, holdout)
-            sigma, _ = cclasso_solve(
-                _clr_covariance(x[train]), lam, max_iter=params.k_max
-            )
-            total += _projection_loss(sigma, _clr_covariance(x[holdout]))
+        for s_train, s_test in splits:
+            sigma, _ = cclasso_solve(s_train, lam, max_iter=params.k_max)
+            total += _projection_loss(sigma, s_test)
         return total
 
     lam_best = _golden_section(cv_loss, *params.lam_int)
-    z, converged = cclasso_solve(s_full, lam_best, max_iter=params.k_max)
+    z, converged = cclasso_solve(np.cov(clr, rowvar=False), lam_best, max_iter=params.k_max)
     r_hat = _to_correlation(z)
 
     boot = np.zeros((params.n_boot,) + r_hat.shape)
     for k in range(params.n_boot):
-        rows = rng.integers(0, n, size=n)
-        zb, _ = cclasso_solve(_clr_covariance(x[rows]), lam_best, max_iter=params.k_max)
+        zb, _ = cclasso_solve(cov(rng.integers(0, n, size=n)), lam_best, max_iter=params.k_max)
         boot[k] = _to_correlation(zb)
+    # (d + 1) / (n_boot + 1) of a symmetric count d <= n_boot: symmetric, in (0, 1]
     disagree = (boot * r_hat[None, :, :] <= 0).sum(axis=0)
     pvalues = (disagree + 1.0) / (params.n_boot + 1.0)
-    np.clip(pvalues, 0.0, 1.0, out=pvalues)
-    pvalues = 0.5 * (pvalues + pvalues.T)
     np.fill_diagonal(pvalues, 0.0)
 
     corr = CorrelationMatrix(values=r_hat, method="cclasso", taxa=list(table.taxa))

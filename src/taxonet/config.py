@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 from .consensus import BinarizationRule
-from .errors import ConfigError
+from .errors import ConfigError, TaxonetError
 from .methods import METHOD_ORDER, default_params, default_rule
 
 
@@ -156,18 +156,6 @@ def parse_rule(raw: str) -> BinarizationRule:
     raise ConfigError(f"unknown binarization rule {raw!r}")
 
 
-def _rule_to_text(rule: BinarizationRule) -> str:
-    if rule.kind == "native_sparse":
-        return "native_sparse"
-    if rule.kind == "abs_threshold":
-        return f"abs_threshold:{rule.threshold!r}"
-    if rule.kind == "top_quantile":
-        return f"top_quantile:{rule.q!r}"
-    if rule.threshold is not None:
-        return f"pvalue:{rule.alpha!r}+abs:{rule.threshold!r}"
-    return f"pvalue:{rule.alpha!r}"
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Raw key -> value mapping; duplicate keys are errors."""
     out: dict[str, str] = {}
@@ -203,7 +191,10 @@ def build_config(raw: dict[str, str]) -> PipelineConfig:
         elif section == "binarize" and name:
             if name not in METHOD_ORDER:
                 raise ConfigError(f"binarization rule for unknown method {name!r}")
-            rules[name] = parse_rule(value)
+            try:
+                rules[name] = parse_rule(value)
+            except TaxonetError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         elif section in METHOD_ORDER and name:
             params = method_params.get(section) or default_params(section)
             types = get_type_hints(type(params))
@@ -212,7 +203,11 @@ def build_config(raw: dict[str, str]) -> PipelineConfig:
                     f"{key!r}: {section} has no parameter {name!r} "
                     f"(known: {', '.join(sorted(types))})"
                 )
-            method_params[section] = replace(params, **{name: _typed(value, types[name], key)})
+            typed = _typed(value, types[name], key)
+            try:
+                method_params[section] = replace(params, **{name: typed})
+            except TaxonetError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
     return PipelineConfig(method_params=method_params, rules=rules, **kwargs)
@@ -256,5 +251,5 @@ def config_to_text(cfg: PipelineConfig) -> str:
         params = cfg.params_for(m)
         for f in fields(type(params)):
             lines.append(f"{m}.{f.name} = {_format_value(getattr(params, f.name))}")
-        lines.append(f"binarize.{m} = {_rule_to_text(cfg.rule_for(m))}")
+        lines.append(f"binarize.{m} = {cfg.rule_for(m).describe()}")
     return "\n".join(lines) + "\n"

@@ -50,14 +50,15 @@ class BinarizationRule:
             raise RuleError(f"unknown binarization rule kind {self.kind!r}")
 
     def describe(self) -> str:
+        """The rule in the config syntax that :func:`taxonet.config.parse_rule` reads."""
         if self.kind == "abs_threshold":
-            return f"abs_threshold({self.threshold:g})"
+            return f"abs_threshold:{self.threshold!r}"
         if self.kind == "top_quantile":
-            return f"top_quantile({self.q:g})"
+            return f"top_quantile:{self.q!r}"
         if self.kind == "pvalue":
             if self.threshold is not None:
-                return f"pvalue({self.alpha:g})+abs_threshold({self.threshold:g})"
-            return f"pvalue({self.alpha:g})"
+                return f"pvalue:{self.alpha!r}+abs:{self.threshold!r}"
+            return f"pvalue:{self.alpha!r}"
         return "native_sparse"
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class TransformedTable:
     transform: str
     taxa: list[str]
     samples: list[str]
-    shift: float = field(default=0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -233,14 +232,13 @@ def log_transform(table: CountTable, pseudo: float = 0.5) -> TransformedTable:
     )
 
 
-def mclr_transform(table: CountTable, shift="auto") -> TransformedTable:
+def mclr_transform(table: CountTable) -> TransformedTable:
     """Modified CLR for zero-inflated counts.
 
     Nonzero entries of each row are replaced by ln(value) minus the mean of
-    ln over that row's nonzero entries; zeros stay exactly 0.  Under
-    ``shift="auto"`` a single global constant is then added to every nonzero
-    entry so the minimum transformed nonzero equals 1; a numeric ``shift``
-    is applied verbatim.
+    ln over that row's nonzero entries; zeros stay exactly 0.  A single
+    global constant is then added to every nonzero entry so the minimum
+    transformed nonzero equals 1.
     """
     v = table.values
     nonzero = v > 0
@@ -254,17 +252,9 @@ def mclr_transform(table: CountTable, shift="auto") -> TransformedTable:
     counts = nonzero.sum(axis=1)
     row_means = logs.sum(axis=1) / counts
     out[nonzero] = (logs - row_means[:, None])[nonzero]
-    if shift == "auto":
-        offset = 1.0 - out[nonzero].min()
-    else:
-        offset = float(shift)
-    out[nonzero] += offset
+    out[nonzero] += 1.0 - out[nonzero].min()
     return TransformedTable(
-        values=out,
-        transform="mclr",
-        taxa=list(table.taxa),
-        samples=list(table.samples),
-        shift=offset,
+        values=out, transform="mclr", taxa=list(table.taxa), samples=list(table.samples)
     )
 
 

@@ -230,7 +230,9 @@ def _gcoda_surrogate(s, omega):
 def _gcoda_solve(s, lam, omega0=None):
     """Majorize-minimize: each round solves a graphical lasso on the
     linearized surrogate.  ``lam`` may be a penalty matrix (used for
-    support-constrained refits).  Returns (omega, converged)."""
+    support-constrained refits).  Returns (omega, converged); converged is
+    false when the rounds or any graphical-lasso fit in them hit their
+    iteration limit."""
     omega = np.diag(1.0 / np.diag(s)) if omega0 is None else omega0
 
     lam_arr = np.asarray(lam, dtype=float)
@@ -243,16 +245,17 @@ def _gcoda_solve(s, lam, omega0=None):
 
     prev = objective(omega)
     converged = False
+    inner_converged = True
     for _ in range(GCODA_MM_MAX_ITER):
         est = graphical_lasso(_gcoda_surrogate(s, omega), lam)
         omega = est.omega
+        inner_converged = inner_converged and est.converged
         cur = objective(omega)
         if abs(prev - cur) <= GCODA_MM_TOL * max(1.0, abs(prev)):
             converged = True
-            prev = cur
             break
         prev = cur
-    return omega, converged
+    return omega, converged and inner_converged
 
 
 def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodResult:

@@ -315,9 +315,14 @@ def read_manifest(out_dir) -> dict:
     path = os.path.join(out_dir, MANIFEST_NAME)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConsensusError(f"cannot read run manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConsensusError(
+            f"run manifest {path} holds a {type(manifest).__name__}, not an object"
+        )
+    return manifest
 
 
 def load_consensus(out_dir) -> WeightedConsensus:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from taxonet.cclasso import CclassoParams, cclasso_fit, cclasso_solve
-from taxonet.errors import EstimatorError
+from taxonet.cclasso import ADMM_RHO, ADMM_TOL, CclassoParams, cclasso_fit, cclasso_solve
+from taxonet.errors import EstimatorError, TransformError
 
 from conftest import make_table
 
@@ -30,7 +30,52 @@ def planted_table(p=6, n=500, r=0.8, seed=9):
     return make_table(np.exp(latent) * 50.0)
 
 
+def eigenbasis_solve(s, lam, max_iter=20):
+    """Reference ADMM whose quadratic step divides by the eigenvalues of
+    X -> F X F + rho X in the eigenbasis of F = I - J/p."""
+    p = s.shape[0]
+    eigval, q = np.linalg.eigh(np.eye(p) - np.full((p, p), 1.0 / p))
+    mask = (eigval > 0.5).astype(float)
+    denom = np.outer(mask, mask) + ADMM_RHO
+    sfs_t = q.T @ s @ q * np.outer(mask, mask)
+    z = s.copy()
+    u = np.zeros_like(s)
+    converged = False
+    for _ in range(max_iter):
+        b_t = sfs_t + ADMM_RHO * (q.T @ (z - u) @ q)
+        sigma = q @ (b_t / denom) @ q.T
+        sigma = 0.5 * (sigma + sigma.T)
+        z_old = z
+        w = sigma + u
+        z = np.sign(w) * np.maximum(np.abs(w) - lam / ADMM_RHO, 0.0)
+        np.fill_diagonal(z, np.diag(w))
+        u = u + sigma - z
+        scale = max(1.0, np.linalg.norm(sigma), np.linalg.norm(z))
+        primal = np.linalg.norm(sigma - z) / scale
+        dual = ADMM_RHO * np.linalg.norm(z - z_old) / scale
+        if primal < ADMM_TOL and dual < ADMM_TOL:
+            converged = True
+            break
+    return 0.5 * (z + z.T), converged
+
+
 class TestSolver:
+    @pytest.mark.parametrize("p", [3, 20, 60])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_matches_eigenbasis_reference(self, p, seed):
+        # the two quadratic steps are the same linear map computed two ways;
+        # over up to 200 iterations they agree to rounding: 1e-12 of max|S|
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(p, p + 5))
+        s = a @ a.T / (p + 5)
+        top = np.abs(s).max()
+        for lam in (0.0, 1e-3 * top, 0.05 * top, 0.3 * top, top, 1.5 * top):
+            for max_iter in (20, 200):
+                got, ok = cclasso_solve(s, lam, max_iter=max_iter)
+                want, ok_ref = eigenbasis_solve(s, lam, max_iter=max_iter)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * top)
+                assert ok == ok_ref
+
     def test_soft_threshold_zeros_offdiagonal(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 6))
@@ -116,7 +161,11 @@ class TestParams:
         vals = np.floor(rng.lognormal(1.0, 1.0, size=(60, 5)))
         table = make_table(vals)
         assert (vals == 0).any()
-        with pytest.raises(EstimatorError, match="positive"):
+        with pytest.raises(TransformError, match="without zeros"):
             cclasso_fit(table, CclassoParams(pseudo=0.0))
         res = cclasso_fit(table)
         assert res.correlation.values.shape == (5, 5)
+
+    def test_negative_pseudo_rejected(self):
+        with pytest.raises(TransformError, match="pseudo"):
+            cclasso_fit(noise_table(p=4, n=60, seed=0), CclassoParams(pseudo=-0.5))

@@ -142,6 +142,9 @@ class TestBuildConfig:
             ("pearson.transform", "7"),
             ("cmimn.quantitative", "3"),
             ("spring.rule", "5"),
+            ("sparcc.alpha", "2"),
+            ("cmimn.q1", "0.99"),
+            ("binarize.pearson", "abs_threshold:2"),
         ],
     )
     def test_value_not_of_its_field_type_names_the_key(self, key, value):

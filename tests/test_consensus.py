@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxonet.config import parse_rule
 from taxonet.consensus import (
     BinarizationRule,
     WeightedConsensus,
@@ -53,14 +54,28 @@ def symmetric(p, entries):
 
 class TestBinarizationRule:
     def test_describe_strings(self):
-        assert BinarizationRule("abs_threshold", threshold=0.3).describe() == "abs_threshold(0.3)"
-        assert BinarizationRule("top_quantile", q=0.8).describe() == "top_quantile(0.8)"
-        assert BinarizationRule("pvalue", alpha=0.05).describe() == "pvalue(0.05)"
+        assert BinarizationRule("abs_threshold", threshold=0.3).describe() == "abs_threshold:0.3"
+        assert BinarizationRule("top_quantile", q=0.8).describe() == "top_quantile:0.8"
+        assert BinarizationRule("pvalue", alpha=0.05).describe() == "pvalue:0.05"
         assert (
             BinarizationRule("pvalue", alpha=0.05, threshold=0.3).describe()
-            == "pvalue(0.05)+abs_threshold(0.3)"
+            == "pvalue:0.05+abs:0.3"
         )
         assert BinarizationRule("native_sparse").describe() == "native_sparse"
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            BinarizationRule("native_sparse"),
+            BinarizationRule("abs_threshold", threshold=0.1 + 0.2),
+            BinarizationRule("top_quantile", q=0.875),
+            BinarizationRule("pvalue", alpha=1 / 3),
+            BinarizationRule("pvalue", alpha=0.05, threshold=0.123456789),
+        ],
+        ids=["native_sparse", "abs_threshold", "top_quantile", "pvalue", "pvalue_abs"],
+    )
+    def test_describe_parses_back_to_the_rule(self, rule):
+        assert parse_rule(rule.describe()) == rule
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError, match="unknown binarization rule kind"):
@@ -106,7 +121,7 @@ class TestBinarize:
         net = binarize(corr_result(w), BinarizationRule("abs_threshold", threshold=0.3))
         assert net.n_edges == 5
         assert net.edge_set() == {(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)}
-        assert net.provenance["rule"] == "abs_threshold(0.3)"
+        assert net.provenance["rule"] == "abs_threshold:0.3"
 
     def test_top_quantile_uses_offdiagonal_magnitudes(self):
         # six magnitudes 0.1 .. 0.6, median 0.35: the top three survive

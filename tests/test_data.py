@@ -231,12 +231,6 @@ class TestMclr:
         with pytest.raises(TransformError, match="s001"):
             mclr_transform(t)
 
-    def test_fixed_shift(self):
-        t = make_table(np.array([[1.0, 2.0, 4.0]]))
-        out = mclr_transform(t, shift=0.0)
-        assert out.shift == 0.0
-        np.testing.assert_allclose(out.values.sum(), 0.0, atol=1e-12)
-
 
 class TestDegenerate:
     def test_constant_taxon_detected(self):

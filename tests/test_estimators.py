@@ -302,3 +302,23 @@ class TestGcoda:
         monkeypatch.setattr(estimators, "_gcoda_solve", failing_refits)
         with pytest.raises(EstimatorError, match="no penalty could be scored"):
             gcoda_fit(chain_count_table(p=6, n=60, seed=4), GcodaParams(nlambda=4))
+
+    def test_unconverged_inner_fit_is_recorded(self, monkeypatch):
+        table = chain_count_table(p=6, n=120, seed=4)
+        params = GcodaParams(nlambda=6)
+        assert gcoda_fit(table, params).selection["all_converged"]
+        fit_glasso = estimators.graphical_lasso
+        calls = []
+
+        def one_unconverged(s, lam):
+            est = fit_glasso(s, lam)
+            calls.append(est)
+            # the third inner fit reports that it stopped at its iteration limit
+            if len(calls) == 3:
+                return solvers.PrecisionEstimate(est.omega, False, est.n_iter)
+            return est
+
+        monkeypatch.setattr(estimators, "graphical_lasso", one_unconverged)
+        fit = gcoda_fit(table, params)
+        assert len(calls) > 3
+        assert not fit.selection["all_converged"]

@@ -139,7 +139,7 @@ class TestManifest:
             rec = manifest["methods"][m]
             assert rec["status"] == "ok"
             assert rec["seconds"] >= 0.0
-            assert rec["rule"] == "abs_threshold(0.3)"
+            assert rec["rule"] == "abs_threshold:0.3"
             assert rec["params"] is not None
 
     def test_per_method_seeds_are_distinct_and_recorded(self, finished_run):
@@ -388,6 +388,14 @@ class TestCli:
     def test_verbs_need_an_output_directory(self, capsys):
         assert main(["sweep"]) == 2
         assert "needs --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb", [["threshold", "--t", "0"], ["export", "--format", "dot"], ["sweep"], ["render"]]
+    )
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys, verb):
+        (tmp_path / "manifest.json").write_text("[]")
+        assert main(verb + ["--out", str(tmp_path)]) == 2
+        assert "not an object" in capsys.readouterr().err
 
     def test_taxa_in_rows_orientation(self, tmp_path, capsys):
         table = small_counts()
