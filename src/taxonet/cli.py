@@ -159,13 +159,13 @@ def _cmd_render(args) -> int:
     union_path = os.path.join(out, "consensus_network.svg")
     render_network_svg(union, seed, union_path,
                        title=f"consensus union: {union.n_edges} edges", layouts=layouts)
-    try:
-        labels, h = read_labeled_matrix(os.path.join(out, "hamming_matrix.tsv"))
+    paths.append(union_path)
+    ham = os.path.join(out, "hamming_matrix.tsv")
+    if os.path.exists(ham):
+        labels, h = read_labeled_matrix(ham)
         heat = os.path.join(out, "hamming_heatmap.svg")
         render_hamming_heatmap(h, labels, heat)
-        paths = paths + [union_path, heat]
-    except OSError:
-        paths = paths + [union_path]
+        paths.append(heat)
     print(f"rendered {len(paths)} images in {out}")
     return 0
 

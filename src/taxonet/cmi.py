@@ -6,6 +6,9 @@ every shared neighbor; an edge survives only if even its weakest conditional
 dependence clears a second quantile cut, so indirect links routed through a
 third taxon are removed.  Edges whose endpoints share no neighbor have
 nothing to condition on and pass through unchanged.
+
+Both stages are array expressions on one correlation matrix, through the
+same elementwise MI formula that ``gaussian_mi`` and ``conditional_mi`` use.
 """
 
 from __future__ import annotations
@@ -44,19 +47,19 @@ class CmimnResult:
     cmi_threshold: float | None
 
 
-def _mi_from_r(r: float) -> float:
-    r = float(np.clip(r, -_R_CLIP, _R_CLIP))
-    return -0.5 * float(np.log1p(-r * r))
+def _mi_from_r(r):
+    """-0.5 * ln(1 - r^2), elementwise, with |r| clipped to 1-1e-12."""
+    r = np.clip(r, -_R_CLIP, _R_CLIP)
+    return -0.5 * np.log1p(-r * r)
 
 
-def _partial_mi(r_xy: float, r_xz: float, r_yz: float) -> float:
-    """Conditional MI from the three pairwise correlations (clipped, never
-    raises; the quantile stages use this on estimated matrices)."""
-    r_xz = float(np.clip(r_xz, -_R_CLIP, _R_CLIP))
-    r_yz = float(np.clip(r_yz, -_R_CLIP, _R_CLIP))
+def _partial_mi(r_xy, r_xz, r_yz):
+    """Conditional MI from the three pairwise correlations, elementwise
+    (clipped, never raises: the quantile stages run it on estimated ones)."""
+    r_xz = np.clip(r_xz, -_R_CLIP, _R_CLIP)
+    r_yz = np.clip(r_yz, -_R_CLIP, _R_CLIP)
     denom = np.sqrt((1.0 - r_xz * r_xz) * (1.0 - r_yz * r_yz))
-    partial = (r_xy - r_xz * r_yz) / denom
-    return _mi_from_r(partial)
+    return _mi_from_r((r_xy - r_xz * r_yz) / denom)
 
 
 def _check_vector(v, name: str, min_len: int) -> np.ndarray:
@@ -75,8 +78,7 @@ def gaussian_mi(x, y) -> float:
     ya = _check_vector(y, "y", 4)
     if xa.size != ya.size:
         raise EstimatorError("x and y must have equal length")
-    r = float(np.corrcoef(xa, ya)[0, 1])
-    return _mi_from_r(r)
+    return float(_mi_from_r(np.corrcoef(xa, ya)[0, 1]))
 
 
 def conditional_mi(x, y, z) -> float:
@@ -91,7 +93,7 @@ def conditional_mi(x, y, z) -> float:
     r_xz, r_yz = r[0, 2], r[1, 2]
     if 1.0 - r_xz * r_xz <= 1e-12 or 1.0 - r_yz * r_yz <= 1e-12:
         raise EstimatorError("correlation matrix of (x, y, z) is singular")
-    return _partial_mi(r[0, 1], r_xz, r_yz)
+    return float(_partial_mi(r[0, 1], r_xz, r_yz))
 
 
 def _transformed_values(table: CountTable, params: CmimnParams) -> np.ndarray:
@@ -101,6 +103,8 @@ def _transformed_values(table: CountTable, params: CmimnParams) -> np.ndarray:
 
 
 def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResult:
+    """Stage one is MI on the upper triangle of r; stage two tests one row's
+    stage-1 edges against all taxa at once, as a (edges in row) x p array."""
     params = params or CmimnParams()
     p = table.n_taxa
     if p < 3:
@@ -113,10 +117,11 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
             f"taxon {table.taxa[bad]!r} is constant after the transform"
         )
 
+    # the upper triangle only, mirrored: np.corrcoef is not exactly symmetric
     iu = np.triu_indices(p, k=1)
     mi = np.zeros((p, p))
-    for i, j in zip(*iu):
-        mi[i, j] = mi[j, i] = _mi_from_r(r[i, j])
+    mi[iu] = _mi_from_r(r[iu])
+    mi += mi.T
 
     mi_threshold = float(np.quantile(mi[iu], params.q1))
     stage1_adj = (mi >= mi_threshold) & ~np.eye(p, dtype=bool)
@@ -124,28 +129,20 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
         stage1_adj, list(table.taxa), provenance={"stage": 1, "mi_threshold": mi_threshold}
     )
 
+    # the zero diagonal of adj leaves k = i and k = j out of `shared`; an edge
+    # with no shared neighbour keeps weakest = inf and passes
     adj = stage1.adj.astype(bool)
-    edges = [(i, j) for i, j in zip(*iu) if adj[i, j]]
-    min_cmi: dict[tuple[int, int], float] = {}
-    pool: list[float] = []
-    for i, j in edges:
-        shared = np.flatnonzero(adj[i] & adj[j])
-        shared = shared[(shared != i) & (shared != j)]
-        if shared.size == 0:
-            continue
-        vals = [_partial_mi(r[i, j], r[i, k], r[j, k]) for k in shared]
-        pool.extend(vals)
-        min_cmi[(i, j)] = min(vals)
-
-    if pool:
-        cmi_threshold = float(np.quantile(pool, params.q2))
-        keep = np.zeros((p, p), dtype=bool)
-        for i, j in edges:
-            if (i, j) not in min_cmi or min_cmi[(i, j)] >= cmi_threshold:
-                keep[i, j] = keep[j, i] = True
-    else:
-        cmi_threshold = None
-        keep = adj.copy()
+    weakest = np.full((p, p), np.inf)
+    pools = []
+    for i in range(p):
+        js = i + 1 + np.flatnonzero(adj[i, i + 1:])
+        cmi = _partial_mi(r[i, js][:, None], r[i], r[js])
+        shared = adj[i] & adj[js]
+        pools.append(cmi[shared])
+        weakest[i, js] = weakest[js, i] = np.where(shared, cmi, np.inf).min(axis=1)
+    pool = np.concatenate(pools)
+    cmi_threshold = float(np.quantile(pool, params.q2)) if pool.size else None
+    keep = adj if cmi_threshold is None else adj & (weakest >= cmi_threshold)
 
     network = network_from_mask(
         keep,

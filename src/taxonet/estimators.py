@@ -284,7 +284,7 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     # the refit starts cold from a penalty built from the support alone, so
     # one refit per distinct support serves every penalty that gives it
     refits: dict[bytes, tuple[float | None, bool]] = {}
-    all_converged = True
+    unconverged = []
     omega = None
     for k, lam in enumerate(lams):
         try:
@@ -294,7 +294,6 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
             # every denser one is smaller still
             rows.extend([float(rest), None, None] for rest in lams[k:])
             break
-        all_converged = all_converged and ok
         mask = (omega != 0) & ~eye
         mask = mask | mask.T
         n_edges = int(mask.sum()) // 2
@@ -310,7 +309,8 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
                 # unbounded: the penalty is unscorable, not unconverged
                 refits[key] = (None, True)
         loglik, ok_r = refits[key]
-        all_converged = all_converged and ok_r
+        if not (ok and ok_r):
+            unconverged.append(k)
         ebic = None if loglik is None else ebic_score(loglik, n_edges, n, p, params.ebic_gamma)
         rows.append([float(lam), ebic, float(n_edges)])
         masks.append(mask)
@@ -339,6 +339,6 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
             "lambda_index": sel,
             "ebic": rows,
             "unscorable": unscorable,
-            "all_converged": all_converged,
+            "unconverged": unconverged,
         },
     )

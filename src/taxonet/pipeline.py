@@ -180,18 +180,19 @@ def _write_labeled_matrix(path, labels: list[str], values: np.ndarray, corner: s
 
 
 def read_labeled_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        labels = header[1:]
-        rows = []
-        row_labels = []
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            row_labels.append(parts[0])
-            rows.append([int(v) for v in parts[1:]])
-    if row_labels != labels:
-        raise ConsensusError(f"{path}: row and column labels disagree")
-    return labels, np.array(rows, dtype=np.int64)
+    """Labels and integer matrix of a file written by ``_write_labeled_matrix``;
+    a missing or malformed file is a ``ConsensusError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            labels = fh.readline().rstrip("\n").split("\t")[1:]
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+        values = np.array([[int(v) for v in row[1:]] for row in rows], dtype=np.int64)
+    except (OSError, ValueError) as exc:
+        raise ConsensusError(f"cannot read run artifact {path}: {exc}") from exc
+    if [row[0] for row in rows] != labels or values.shape != (len(labels), len(labels)):
+        raise ConsensusError(f"cannot read run artifact {path}: not a square matrix "
+                             "under the labels of its header")
+    return labels, values
 
 
 def write_artifacts(run: PipelineRun) -> list[str]:

@@ -306,7 +306,7 @@ class TestGcoda:
     def test_unconverged_inner_fit_is_recorded(self, monkeypatch):
         table = chain_count_table(p=6, n=120, seed=4)
         params = GcodaParams(nlambda=6)
-        assert gcoda_fit(table, params).selection["all_converged"]
+        assert gcoda_fit(table, params).selection["unconverged"] == []
         fit_glasso = estimators.graphical_lasso
         calls = []
 
@@ -321,4 +321,27 @@ class TestGcoda:
         monkeypatch.setattr(estimators, "graphical_lasso", one_unconverged)
         fit = gcoda_fit(table, params)
         assert len(calls) > 3
-        assert not fit.selection["all_converged"]
+        # the third inner fit belongs to the penalized solve at the first penalty
+        assert fit.selection["unconverged"] == [0]
+
+    def test_unconverged_refit_counts_for_every_penalty_sharing_its_support(
+        self, monkeypatch
+    ):
+        table = chain_count_table(p=6, n=120, seed=4)
+        params = GcodaParams(nlambda=6)
+        rows = gcoda_fit(table, params).selection["ebic"]
+        # the three densest penalties give the full support and share one refit
+        assert [row[2] for row in rows[3:]] == [15.0] * 3
+        assert [row[2] for row in rows[:3]] != [15.0] * 3
+        solve = estimators._gcoda_solve
+
+        def full_refit_unconverged(s, lam, omega0=None):
+            omega, ok = solve(s, lam, omega0=omega0)
+            if np.ndim(lam) and not np.isinf(lam).any():
+                return omega, False
+            return omega, ok
+
+        monkeypatch.setattr(estimators, "_gcoda_solve", full_refit_unconverged)
+        fit = gcoda_fit(table, params)
+        assert fit.selection["unconverged"] == [3, 4, 5]
+        assert fit.selection["ebic"] == rows

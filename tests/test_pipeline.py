@@ -7,6 +7,7 @@ fast; the all-methods run lives in the acceptance suite.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -396,6 +397,60 @@ class TestCli:
         (tmp_path / "manifest.json").write_text("[]")
         assert main(verb + ["--out", str(tmp_path)]) == 2
         assert "not an object" in capsys.readouterr().err
+
+    @staticmethod
+    def run_copy(finished_run, tmp_path):
+        """A private copy of the shared finished run, free to damage."""
+        out = tmp_path / "run"
+        shutil.copytree(finished_run[1], out)
+        return out
+
+    def test_missing_hamming_matrix_exits_2(self, finished_run, tmp_path, capsys):
+        out = self.run_copy(finished_run, tmp_path)
+        (out / "hamming_matrix.tsv").unlink()
+        assert main(["hamming", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read run artifact" in err and "hamming_matrix.tsv" in err
+
+    @pytest.mark.parametrize("damage", ["cell", "short_row", "empty"])
+    def test_malformed_hamming_matrix_exits_2(self, finished_run, tmp_path, capsys, damage):
+        out = self.run_copy(finished_run, tmp_path)
+        path = out / "hamming_matrix.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "cell":
+            lines[1] = lines[1].rsplit("\t", 1)[0] + "\tx\n"
+        elif damage == "short_row":
+            lines[1] = lines[1].rsplit("\t", 1)[0] + "\n"
+        else:
+            lines = []
+        path.write_text("".join(lines))
+        assert main(["hamming", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read run artifact" in err and "hamming_matrix.tsv" in err
+
+    @pytest.mark.parametrize(
+        "verb", [["threshold", "--t", "0"], ["export", "--format", "dot"], ["sweep"], ["render"]]
+    )
+    def test_missing_adjacency_exits_2(self, finished_run, tmp_path, capsys, verb):
+        out = self.run_copy(finished_run, tmp_path)
+        (out / "adjacency_spearman.tsv").unlink()
+        assert main(verb + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read run artifact" in err and "adjacency_spearman.tsv" in err
+
+    def test_render_skips_an_absent_hamming_matrix_but_not_a_malformed_one(
+        self, finished_run, tmp_path, capsys
+    ):
+        out = self.run_copy(finished_run, tmp_path)
+        (out / "hamming_heatmap.svg").unlink()
+        text = (out / "hamming_matrix.tsv").read_text()
+        (out / "hamming_matrix.tsv").unlink()
+        assert main(["render", "--out", str(out)]) == 0
+        assert not (out / "hamming_heatmap.svg").exists()
+        (out / "hamming_matrix.tsv").write_text(text.replace("\t0", "\tzero", 1))
+        assert main(["render", "--out", str(out)]) == 2
+        assert "hamming_matrix.tsv" in capsys.readouterr().err
+        assert not (out / "hamming_heatmap.svg").exists()
 
     def test_taxa_in_rows_orientation(self, tmp_path, capsys):
         table = small_counts()
