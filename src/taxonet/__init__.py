@@ -17,7 +17,6 @@ from .data import (
     filter_taxa,
     load_count_table,
     mclr_transform,
-    to_composition,
     write_count_table,
 )
 from .errors import (

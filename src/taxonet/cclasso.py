@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
-from .data import CountTable, clr_transform, to_composition
+from .data import CountTable, clr_transform
 from .errors import EstimatorError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -41,7 +40,7 @@ class CclassoParams:
 
 @dataclass
 class CclassoResult:
-    correlation: CorrelationMatrix
+    correlation: np.ndarray
     pvalues: np.ndarray
     selected_lambda: float
     converged: bool
@@ -147,7 +146,7 @@ def cclasso_fit(
         raise EstimatorError(
             f"cross-validation folds would have fewer than 3 samples (n={n}, k_cv={params.k_cv})"
         )
-    clr = clr_transform(to_composition(table, params.pseudo)).values
+    clr = clr_transform(table, params.pseudo)
 
     def cov(rows) -> np.ndarray:
         return np.cov(clr[rows], rowvar=False)
@@ -177,9 +176,8 @@ def cclasso_fit(
     pvalues = (disagree + 1.0) / (params.n_boot + 1.0)
     np.fill_diagonal(pvalues, 0.0)
 
-    corr = CorrelationMatrix(values=r_hat, method="cclasso", taxa=list(table.taxa))
     return CclassoResult(
-        correlation=corr,
+        correlation=r_hat,
         pvalues=pvalues,
         selected_lambda=lam_best,
         converged=converged,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CountTable, clr_transform, mclr_transform, to_composition
+from .data import CountTable, clr_transform, mclr_transform
 from .errors import EstimatorError
 from .network import BinaryNetwork, network_from_mask
 
@@ -98,8 +98,8 @@ def conditional_mi(x, y, z) -> float:
 
 def _transformed_values(table: CountTable, params: CmimnParams) -> np.ndarray:
     if params.quantitative:
-        return clr_transform(to_composition(table, pseudo=params.pseudo)).values
-    return mclr_transform(table).values
+        return clr_transform(table, pseudo=params.pseudo)
+    return mclr_transform(table)
 
 
 def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResult:

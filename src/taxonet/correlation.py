@@ -1,9 +1,10 @@
 """Correlation-family association estimators.
 
-Four classical estimators over a transformed (or raw) table, plus a
-rank-based latent correlation for zero-inflated counts that maps Kendall
-concordance through the Gaussian-copula bridge and projects the result to
-the positive semidefinite cone.
+Four classical estimators over a transformed (or raw) samples x taxa
+array, plus a rank-based latent correlation for zero-inflated counts that
+maps Kendall concordance through the Gaussian-copula bridge and projects the
+result to the positive semidefinite cone.  Each returns a plain taxa x taxa
+array, exactly symmetric, in [-1, 1] and with a unit diagonal.
 
 The rank statistics are plain numpy. Kendall tau-b for all column pairs is
 one sign-product Gram matrix accumulated over samples, and Spearman uses
@@ -14,54 +15,32 @@ so the package does not import scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import CountTable, TransformedTable, mclr_transform
+from .data import CountTable, mclr_transform
 from .errors import EstimatorError
 
-SYMMETRY_TOL = 1e-12
 BICOR_TUNING = 9.0
 PSD_EIG_FLOOR = 1e-8
 
 CORRELATION_METHODS = ("pearson", "spearman", "bicor", "kendall")
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric p x p association matrix with unit diagonal."""
-
-    values: np.ndarray
-    method: str
-    taxa: list[str]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape[0] != v.shape[1] or v.shape[0] != len(self.taxa):
-            raise EstimatorError("correlation matrix shape does not match taxa")
-        if np.abs(v - v.T).max(initial=0.0) > SYMMETRY_TOL:
-            raise EstimatorError("correlation matrix must be symmetric")
-        if not np.all(np.diag(v) == 1.0):
-            raise EstimatorError("correlation diagonal must be exactly 1")
-        if np.abs(v).max(initial=0.0) > 1.0 + SYMMETRY_TOL:
-            raise EstimatorError("correlation entries must lie in [-1, 1]")
-
-
-def _finalize(values: np.ndarray, method: str, taxa) -> CorrelationMatrix:
+def _finalize(values: np.ndarray) -> np.ndarray:
+    """Symmetrize, clip to [-1, 1] and set the unit diagonal."""
     v = 0.5 * (values + values.T)
     np.clip(v, -1.0, 1.0, out=v)
     np.fill_diagonal(v, 1.0)
-    return CorrelationMatrix(values=v, method=method, taxa=list(taxa))
+    return v
 
 
 def _check_columns(x: np.ndarray, taxa) -> None:
     if x.shape[0] < 4:
         raise EstimatorError("correlation needs at least 4 samples")
-    sd = x.std(axis=0)
-    if (sd == 0).any():
-        bad = taxa[int(np.argmax(sd == 0))]
+    # the standard deviation of a constant column can round to 1e-17
+    constant = np.ptp(x, axis=0) == 0
+    if constant.any():
+        bad = taxa[int(np.argmax(constant))]
         raise EstimatorError(f"taxon {bad!r} is constant")
 
 
@@ -80,30 +59,29 @@ def _bicor_prepare(col: np.ndarray) -> np.ndarray:
     return (col - med) * w
 
 
-def correlation_matrix(table, method: str = "pearson") -> CorrelationMatrix:
-    """Pairwise association matrix of a table's columns.
+def correlation_matrix(x: np.ndarray, taxa, method: str = "pearson") -> np.ndarray:
+    """Pairwise association matrix of the columns of a samples x taxa array.
 
-    ``table`` is a :class:`CountTable` or :class:`TransformedTable`.
+    ``taxa`` labels the columns, and names a constant one in the error.
     Methods: ``pearson`` (product-moment), ``spearman`` (average ranks),
     ``bicor`` (biweight midcorrelation, tuning constant 9), ``kendall``
     (tau-b).
     """
     if method not in CORRELATION_METHODS:
         raise EstimatorError(f"unknown correlation method {method!r}")
-    x = np.asarray(table.values, dtype=float)
-    taxa = list(table.taxa)
+    x = np.asarray(x, dtype=float)
     _check_columns(x, taxa)
     if method == "pearson":
-        return _finalize(np.corrcoef(x, rowvar=False), method, taxa)
+        return _finalize(np.corrcoef(x, rowvar=False))
     if method == "spearman":
         ranks = np.apply_along_axis(average_ranks, 0, x)
-        return _finalize(np.corrcoef(ranks, rowvar=False), method, taxa)
+        return _finalize(np.corrcoef(ranks, rowvar=False))
     if method == "bicor":
         cols = np.column_stack([_bicor_prepare(x[:, j]) for j in range(x.shape[1])])
         norms = np.sqrt((cols**2).sum(axis=0))
         out = (cols.T @ cols) / np.outer(norms, norms)
-        return _finalize(out, method, taxa)
-    return _finalize(kendall_matrix(x), method, taxa)
+        return _finalize(out)
+    return _finalize(kendall_matrix(x))
 
 
 def average_ranks(col: np.ndarray) -> np.ndarray:
@@ -170,7 +148,7 @@ def nearest_psd_correlation(values: np.ndarray, floor: float = PSD_EIG_FLOOR):
     return 0.5 * (out + out.T)
 
 
-def latent_correlation(table: CountTable) -> CorrelationMatrix:
+def latent_correlation(table: CountTable) -> np.ndarray:
     """Rank-based latent correlation for zero-inflated counts.
 
     Kendall tau-b on the modified-CLR transform (zeros kept as ties at 0),
@@ -180,10 +158,9 @@ def latent_correlation(table: CountTable) -> CorrelationMatrix:
     if table.n_samples < 4:
         raise EstimatorError("latent correlation needs at least 4 samples")
     transformed = mclr_transform(table)
-    tau = kendall_matrix(transformed.values)
+    tau = kendall_matrix(transformed)
     bridged = tau_bridge(tau)
-    values = nearest_psd_correlation(bridged)
-    return CorrelationMatrix(values=values, method="latent", taxa=list(table.taxa))
+    return nearest_psd_correlation(bridged)
 
 
 def safe_correlation(x: np.ndarray) -> np.ndarray:
@@ -196,7 +173,4 @@ def safe_correlation(x: np.ndarray) -> np.ndarray:
     if ok.sum() >= 2:
         sub = np.corrcoef(x[:, ok], rowvar=False)
         out[np.ix_(ok, ok)] = sub
-    out = 0.5 * (out + out.T)
-    np.clip(out, -1.0, 1.0, out=out)
-    np.fill_diagonal(out, 1.0)
-    return out
+    return _finalize(out)

@@ -1,8 +1,9 @@
 """Count-table ingestion and the transforms feeding the estimators.
 
 The single ingestion format is a delimited text table (comma or tab) with
-one header row and one leading label column.  All transforms return new
-value objects; nothing mutates a table in place.
+one header row and one leading label column.  :class:`CountTable` is the
+one validated input; every transform takes it and returns a new samples x
+taxa array in the table's taxon order, and nothing mutates a table in place.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 
 from .errors import FilterError, LoadError, TransformError
 
-ROW_SUM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -25,7 +24,7 @@ class CountTable:
     Parameters
     ----------
     values : ndarray of shape (n_samples, n_taxa)
-        Nonnegative real abundances; no missing entries.
+        Nonnegative finite abundances; no missing entries.
     taxa : list of str
         Unique column labels.
     samples : list of str
@@ -48,8 +47,11 @@ class CountTable:
             raise LoadError("duplicate taxon labels")
         if len(set(self.samples)) != n:
             raise LoadError("duplicate sample labels")
-        if np.isnan(v).any():
-            raise LoadError("missing values in count table")
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
+            raise LoadError(
+                f"missing or infinite value at row {i + 1}, column {self.taxa[j]!r}"
+            )
         if (v < 0).any():
             i, j = np.argwhere(v < 0)[0]
             raise LoadError(
@@ -63,41 +65,6 @@ class CountTable:
     @property
     def n_taxa(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CompositionTable:
-    """Strictly positive relative abundances; each row sums to 1."""
-
-    values: np.ndarray
-    taxa: list[str]
-    samples: list[str]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if (v <= 0).any():
-            raise TransformError("composition entries must be strictly positive")
-        if not np.allclose(v.sum(axis=1), 1.0, atol=ROW_SUM_TOL, rtol=0):
-            raise TransformError("composition rows must sum to 1")
-
-
-@dataclass(frozen=True)
-class TransformedTable:
-    """Real-valued matrix after a log-family transform.
-
-    ``transform`` is one of ``clr``, ``mclr``, ``log``.
-    """
-
-    values: np.ndarray
-    transform: str
-    taxa: list[str]
-    samples: list[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.transform not in ("clr", "mclr", "log"):
-            raise TransformError(f"unknown transform {self.transform!r}")
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -150,9 +117,10 @@ def load_count_table(path, orientation: str = "samples_in_rows") -> CountTable:
                     f"{path}: non-numeric cell {text!r} at row {i}, "
                     f"column {col_labels[j]!r}"
                 ) from None
-            if math.isnan(value):
+            if not math.isfinite(value):
                 raise LoadError(
-                    f"{path}: missing value at row {i}, column {col_labels[j]!r}"
+                    f"{path}: missing or infinite value at row {i}, "
+                    f"column {col_labels[j]!r}"
                 )
             if value < 0:
                 raise LoadError(
@@ -195,8 +163,10 @@ def filter_taxa(
     return CountTable(values=v[:, keep].copy(), taxa=taxa, samples=list(table.samples))
 
 
-def to_composition(table: CountTable, pseudo: float = 0.5) -> CompositionTable:
-    """Close each row to proportions after adding ``pseudo`` to every cell.
+def clr_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
+    """Centered log-ratio of a table's rows: add ``pseudo`` to every cell,
+    close each row to proportions, and take ln x minus the row mean of
+    ln x, so every row sums to 0.
 
     ``pseudo=0`` is only legal when the table has no zeros.
     """
@@ -207,32 +177,21 @@ def to_composition(table: CountTable, pseudo: float = 0.5) -> CompositionTable:
         raise TransformError("pseudo=0 requires a table without zeros")
     shifted = v + pseudo
     comp = shifted / shifted.sum(axis=1, keepdims=True)
-    return CompositionTable(values=comp, taxa=list(table.taxa), samples=list(table.samples))
+    # a row sum that overflows to inf closes its cells to 0
+    if (comp <= 0).any():
+        raise TransformError("composition entries must be strictly positive")
+    logs = np.log(comp)
+    return logs - logs.mean(axis=1, keepdims=True)
 
 
-def clr_transform(comp: CompositionTable) -> TransformedTable:
-    """Centered log-ratio: ln x minus the row mean of ln x; rows sum to 0."""
-    v = comp.values
-    if (v <= 0).any():
-        raise TransformError("clr requires strictly positive entries")
-    logs = np.log(v)
-    out = logs - logs.mean(axis=1, keepdims=True)
-    return TransformedTable(
-        values=out, transform="clr", taxa=list(comp.taxa), samples=list(comp.samples)
-    )
-
-
-def log_transform(table: CountTable, pseudo: float = 0.5) -> TransformedTable:
+def log_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
     """Plain ln(x + pseudo) without row centering."""
     if pseudo <= 0 and (table.values == 0).any():
         raise TransformError("log transform needs pseudo > 0 when zeros are present")
-    out = np.log(table.values + pseudo)
-    return TransformedTable(
-        values=out, transform="log", taxa=list(table.taxa), samples=list(table.samples)
-    )
+    return np.log(table.values + pseudo)
 
 
-def mclr_transform(table: CountTable) -> TransformedTable:
+def mclr_transform(table: CountTable) -> np.ndarray:
     """Modified CLR for zero-inflated counts.
 
     Nonzero entries of each row are replaced by ln(value) minus the mean of
@@ -253,15 +212,14 @@ def mclr_transform(table: CountTable) -> TransformedTable:
     row_means = logs.sum(axis=1) / counts
     out[nonzero] = (logs - row_means[:, None])[nonzero]
     out[nonzero] += 1.0 - out[nonzero].min()
-    return TransformedTable(
-        values=out, transform="mclr", taxa=list(table.taxa), samples=list(table.samples)
-    )
+    return out
 
 
-def degenerate_taxa(transformed: TransformedTable, tol: float = 1e-12) -> list[str]:
-    """Labels of taxa with (numerically) zero variance after the transform."""
-    var = transformed.values.var(axis=0)
-    return [t for t, s in zip(transformed.taxa, var) if s <= tol]
+def degenerate_taxa(values: np.ndarray, taxa, tol: float = 1e-12) -> list[str]:
+    """Labels of taxa whose transformed column ``values`` has (numerically)
+    zero variance."""
+    var = values.var(axis=0)
+    return [t for t, s in zip(taxa, var) if s <= tol]
 
 
 def drop_taxa(table: CountTable, labels: list[str]) -> CountTable:

@@ -21,7 +21,7 @@ from .correlation import (
     safe_correlation,
     tau_bridge,
 )
-from .data import CountTable, clr_transform, mclr_transform, to_composition
+from .data import CountTable, clr_transform, mclr_transform
 from .errors import EstimatorError, SolverError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
@@ -61,10 +61,6 @@ class GcodaParams:
     ebic_gamma: float = 0.5
 
 
-def _clr_matrix(table: CountTable, pseudo: float) -> np.ndarray:
-    return clr_transform(to_composition(table, pseudo=pseudo)).values
-
-
 def _glasso_adjacency(s: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
     """Off-diagonal supports of cold-started graphical-lasso fits at one
     penalty for a (R, p, p) stack of correlations, as an (R, p, p) boolean
@@ -102,7 +98,7 @@ def spieceasi_fit(
         raise EstimatorError(f"unknown mode {mode!r}")
     params = params or SpieceasiParams()
     rep_num = params.resolved_rep_num(mode)
-    x = _clr_matrix(table, params.pseudo)
+    x = clr_transform(table, params.pseudo)
     s = safe_correlation(x)
     path = lambda_path(s, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio)
 
@@ -146,7 +142,7 @@ def _latent_corr_values(counts: np.ndarray) -> np.ndarray:
         samples=[f"s{i}" for i in range(counts.shape[0])],
     )
     transformed = mclr_transform(table)
-    tau = kendall_matrix(transformed.values)
+    tau = kendall_matrix(transformed)
     return nearest_psd_correlation(tau_bridge(tau))
 
 
@@ -163,7 +159,7 @@ def spring_fit(
     params = params or SpringParams()
     corr = latent_correlation(table)
     path = lambda_path(
-        corr.values, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio
+        corr, nlambda=params.nlambda, lambda_min_ratio=params.lambda_min_ratio
     )
 
     def fitter(subs: np.ndarray, lams: np.ndarray):
@@ -182,7 +178,7 @@ def spring_fit(
         method="spring",
         params=asdict(params),
         taxa=list(table.taxa),
-        weighted=corr.values,
+        weighted=corr,
         network=stars.network,
         selection=stars.selection(),
     )
@@ -273,7 +269,7 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     can be fed as they are with ``pseudo=0``.
     """
     params = params or GcodaParams()
-    x = _clr_matrix(table, params.pseudo)
+    x = clr_transform(table, params.pseudo)
     s = np.cov(x, rowvar=False)
     p = table.n_taxa
     n = table.n_samples

@@ -17,7 +17,7 @@ from .cclasso import CclassoParams, cclasso_fit
 from .cmi import CmimnParams, cmimn_fit
 from .consensus import BinarizationRule
 from .correlation import correlation_matrix
-from .data import CountTable, clr_transform, log_transform, mclr_transform, to_composition
+from .data import CountTable, clr_transform, log_transform, mclr_transform
 from .errors import EstimatorError
 from .estimators import (
     GcodaParams,
@@ -56,34 +56,34 @@ class CorrelationParams:
 CORRELATION_TRANSFORMS = get_args(get_type_hints(CorrelationParams)["transform"])
 
 
-def _transformed(table: CountTable, params: CorrelationParams):
+def _transformed(table: CountTable, params: CorrelationParams) -> np.ndarray:
     if params.transform == "clr":
-        return clr_transform(to_composition(table, pseudo=params.pseudo))
+        return clr_transform(table, pseudo=params.pseudo)
     if params.transform == "log":
         return log_transform(table, pseudo=params.pseudo)
     if params.transform == "mclr":
         return mclr_transform(table)
     if params.transform == "raw":
-        return table
+        return table.values
     raise EstimatorError(
         f"unknown transform {params.transform!r}; choose from {CORRELATION_TRANSFORMS}"
     )
 
 
 def _run_correlation(method: str, table: CountTable, params: CorrelationParams, seed: int):
-    corr = correlation_matrix(_transformed(table, params), method)
+    corr = correlation_matrix(_transformed(table, params), table.taxa, method)
     return MethodResult(
         method=method,
         params=asdict(params),
         taxa=list(table.taxa),
-        weighted=corr.values,
+        weighted=corr,
     )
 
 
 def _run_sparcc(method, table, params: SparccParams, seed: int):
     corr = sparcc_fit(table, params, seed=seed)
     return MethodResult(
-        method="sparcc", params=asdict(params), taxa=list(table.taxa), weighted=corr.values
+        method="sparcc", params=asdict(params), taxa=list(table.taxa), weighted=corr
     )
 
 
@@ -125,7 +125,7 @@ def _run_cclasso(method, table, params: CclassoParams, seed: int):
         method="cclasso",
         params=asdict(params),
         taxa=list(table.taxa),
-        weighted=fit.correlation.values,
+        weighted=fit.correlation,
         pvalues=fit.pvalues,
         selection={"lambda": fit.selected_lambda, "converged": fit.converged},
     )

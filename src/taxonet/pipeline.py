@@ -49,7 +49,6 @@ from .data import (
     drop_taxa,
     filter_taxa,
     load_count_table,
-    to_composition,
 )
 from .errors import ConsensusError, FilterError, TaxonetError
 from .exports import export_graph
@@ -120,8 +119,8 @@ def prepare_table(cfg: PipelineConfig, table: CountTable | None = None):
         raise FilterError(f"only {table.n_taxa} taxa left after filtering; need at least 3")
     if table.n_samples < 4:
         raise FilterError(f"only {table.n_samples} samples; need at least 4")
-    transformed = clr_transform(to_composition(table, pseudo=0.5))
-    degenerate = degenerate_taxa(transformed)
+    transformed = clr_transform(table, pseudo=0.5)
+    degenerate = degenerate_taxa(transformed, table.taxa)
     if degenerate:
         log.warning(
             "dropping %d degenerate taxa (no variation after transform): %s",

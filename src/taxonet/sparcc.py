@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
+from .correlation import _finalize
 from .data import CountTable
 from .errors import EstimatorError
 
@@ -56,12 +56,8 @@ def _basis_variances(t_mat, mask, vmin):
     m = np.ones((p, p)) + np.diag(np.full(p, p - 2.0))
     off = ~mask
     np.fill_diagonal(off, False)
-    if off.any():
-        idx = np.argwhere(off)
-        for i, j in idx:
-            m[i, j] = 0.0
-        deg = off.sum(axis=1)
-        m[np.diag_indices(p)] -= deg
+    m[off] = 0.0
+    m[np.diag_indices(p)] -= off.sum(axis=1)
     t = np.where(mask, t_mat, 0.0).sum(axis=1)
     omega = np.linalg.solve(m, t)
     return np.maximum(omega, vmin)
@@ -109,8 +105,8 @@ def sparcc_iteration(fractions: np.ndarray, params: SparccParams):
 
 def sparcc_fit(
     table: CountTable, params: SparccParams | None = None, seed: int = 42
-) -> CorrelationMatrix:
-    """Basis correlation matrix of a count table.
+) -> np.ndarray:
+    """Basis correlation matrix of a count table, as a taxa x taxa array.
 
     Each of ``imax`` iterations draws per-sample posterior fractions
     (Dirichlet, concentration counts + 1), estimates basis correlations
@@ -136,7 +132,4 @@ def sparcc_fit(
         fractions = gammas / gammas.sum(axis=1, keepdims=True)
         estimates[k], _ = sparcc_iteration(fractions, params)
     med = np.median(estimates, axis=0)
-    med = 0.5 * (med + med.T)
-    np.clip(med, -1.0, 1.0, out=med)
-    np.fill_diagonal(med, 1.0)
-    return CorrelationMatrix(values=med, method="sparcc", taxa=list(table.taxa))
+    return _finalize(med)

@@ -18,7 +18,7 @@ from taxonet.cmi import cmimn_fit, conditional_mi, gaussian_mi
 from taxonet.config import build_config
 from taxonet.consensus import build_consensus, hamming_distance, threshold_network
 from taxonet.correlation import correlation_matrix, tau_bridge
-from taxonet.data import clr_transform, to_composition
+from taxonet.data import clr_transform
 from taxonet.estimators import gcoda_fit, spieceasi_fit
 from taxonet.exports import export_graph, import_edgelist_tsv
 from taxonet.network import BinaryNetwork
@@ -103,12 +103,12 @@ def test_a02_chain_structure_recovery(capsys):
 def test_a03_sparcc_null_and_planted_signal(capsys):
     start = time.perf_counter()
     z = np.random.default_rng(11).standard_normal((500, 10))
-    null = sparcc_fit(make_table(compositional_counts(z)), seed=0).values
+    null = sparcc_fit(make_table(compositional_counts(z)), seed=0)
     null_median = float(np.median(np.abs(null[~np.eye(10, dtype=bool)])))
 
     z = np.random.default_rng(31).standard_normal((500, 10))
     z[:, 1] = 0.9 * z[:, 0] + np.sqrt(1 - 0.81) * z[:, 1]
-    planted = sparcc_fit(make_table(compositional_counts(z)), seed=0).values
+    planted = sparcc_fit(make_table(compositional_counts(z)), seed=0)
     mags = np.abs(planted)
     np.fill_diagonal(mags, 0.0)
     top = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -251,18 +251,18 @@ def test_a07_pipeline_determinism(capsys, full_runs):
 def test_a08_estimator_identities(capsys):
     rng = np.random.default_rng(808)
     counts = rng.integers(1, 1000, size=(60, 6)).astype(float)
-    base = correlation_matrix(make_table(counts), "spearman").values
+    base = correlation_matrix(counts, make_table(counts).taxa, "spearman")
     warped = counts.copy()
     warped[:, 0] = warped[:, 0] ** 3
     warped[:, 1] = 3.0 * warped[:, 1] + 7.0
     warped[:, 2] = np.sqrt(warped[:, 2])
     monotone_exact = np.array_equal(
-        base, correlation_matrix(make_table(warped), "spearman").values
+        base, correlation_matrix(warped, make_table(warped).taxa, "spearman")
     )
 
     table = make_table(np.floor(rng.lognormal(3.0, 1.0, size=(40, 8))))
     clr_rows = float(
-        np.abs(clr_transform(to_composition(table, pseudo=0.5)).values.sum(axis=1)).max()
+        np.abs(clr_transform(table, pseudo=0.5).sum(axis=1)).max()
     )
 
     bridge_exact = float(tau_bridge(0.0)) == 0.0 and float(tau_bridge(1.0)) == 1.0

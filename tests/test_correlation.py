@@ -10,19 +10,28 @@ from hypothesis import strategies as st
 import taxonet
 from taxonet import (
     EstimatorError,
+    SparccParams,
+    clr_transform,
     correlation_matrix,
     latent_correlation,
     mclr_transform,
     nearest_psd_correlation,
+    sparcc_fit,
     tau_bridge,
 )
-from taxonet.correlation import average_ranks, kendall_matrix, safe_correlation
+from taxonet.cclasso import cclasso_fit
+from taxonet.correlation import (
+    CORRELATION_METHODS,
+    average_ranks,
+    kendall_matrix,
+    safe_correlation,
+)
 
 from conftest import make_table
 
 
 def corr_of(values, method):
-    return correlation_matrix(make_table(values), method).values
+    return correlation_matrix(values, make_table(values).taxa, method)
 
 
 def shifted(values):
@@ -141,7 +150,7 @@ def zero_heavy_mclr(draw):
     counts = rng.poisson(1.5, size=(n, 6)) * (rng.random((n, 6)) < 0.5)
     counts[:, 0] += 1 + rng.integers(0, 3, size=n)   # every sample keeps a nonzero
     counts[0, 1:] = 0
-    return mclr_transform(make_table(counts)).values
+    return mclr_transform(make_table(counts))
 
 
 class TestKendall:
@@ -244,8 +253,8 @@ class TestLatent:
         cov = 0.6 * np.eye(p) + 0.4 * np.ones((p, p))
         z = rng.standard_normal((1500, p)) @ np.linalg.cholesky(cov).T
         t = make_table(np.exp(z))
-        latent = latent_correlation(t).values
-        pear = correlation_matrix(mclr_transform(t), "pearson").values
+        latent = latent_correlation(t)
+        pear = correlation_matrix(mclr_transform(t), t.taxa, "pearson")
         off = ~np.eye(p, dtype=bool)
         assert np.abs(latent - pear)[off].max() < 0.08
 
@@ -254,16 +263,13 @@ class TestLatent:
         z = rng.standard_normal((400, 6))
         z[:, 1] = 0.9 * z[:, 0] + np.sqrt(1 - 0.81) * z[:, 1]
         t = make_table(np.floor(np.exp(z) * 30.0))
-        m = np.abs(latent_correlation(t).values)
+        m = np.abs(latent_correlation(t))
         np.fill_diagonal(m, 0.0)
         assert np.unravel_index(np.argmax(m), m.shape) in {(0, 1), (1, 0)}
 
     def test_output_is_psd(self, small_table):
         m = latent_correlation(small_table)
-        assert np.linalg.eigvalsh(m.values).min() >= -1e-8
-
-    def test_method_label(self, small_table):
-        assert latent_correlation(small_table).method == "latent"
+        assert np.linalg.eigvalsh(m).min() >= -1e-8
 
 
 class TestSafeCorrelation:
@@ -275,3 +281,48 @@ class TestSafeCorrelation:
         assert m[1, 1] == 1.0
         expected = np.corrcoef(v[:, [0, 2]], rowvar=False)[0, 1]
         assert m[0, 2] == pytest.approx(expected, abs=1e-12)
+
+
+def zero_heavy_counts(n, p, seed):
+    """Poisson counts with a zero rate of 30-80 % per column, and at least
+    one nonzero cell in every row and every column."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rng.lognormal(1.5, 1.0, size=p), size=(n, p)).astype(float)
+    counts[rng.random((n, p)) < rng.uniform(0.3, 0.8, size=p)] = 0.0
+    counts[np.arange(n), rng.integers(0, p, size=n)] += 1.0
+    counts[rng.integers(0, n, size=p), np.arange(p)] += 1.0
+    return make_table(counts)
+
+
+def assert_correlation_matrix(v, p):
+    """What every association estimator promises its caller: a finite,
+    exactly symmetric p x p matrix in [-1, 1] with a diagonal of exactly 1."""
+    assert v.shape == (p, p)
+    assert np.isfinite(v).all()
+    assert np.array_equal(v, v.T)
+    assert (np.diag(v) == 1.0).all()
+    assert (np.abs(v) <= 1.0).all()
+
+
+class TestOutputInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 40), st.integers(4, 12), st.integers(0, 2**32 - 1))
+    def test_estimators_return_valid_correlation_matrices(self, n, p, seed):
+        table = zero_heavy_counts(n, p, seed)
+        clr = clr_transform(table)
+        for method in CORRELATION_METHODS:
+            assert_correlation_matrix(correlation_matrix(clr, table.taxa, method), p)
+            frozen = clr.copy()
+            frozen[:, 1] = frozen[0, 1]
+            with pytest.raises(EstimatorError, match=repr(table.taxa[1])):
+                correlation_matrix(frozen, table.taxa, method)
+        assert_correlation_matrix(latent_correlation(table), p)
+        sub = clr[: max(2, n // 2)].copy()
+        sub[:, 0] = sub[0, 0]
+        assert_correlation_matrix(safe_correlation(sub), p)
+        assert_correlation_matrix(sparcc_fit(table, SparccParams(imax=2), seed=seed), p)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_cclasso_returns_a_valid_correlation_matrix(self, seed):
+        table = zero_heavy_counts(30, 8, seed)
+        assert_correlation_matrix(cclasso_fit(table, seed=seed).correlation, 8)

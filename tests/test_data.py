@@ -10,7 +10,6 @@ from taxonet import (
     filter_taxa,
     load_count_table,
     mclr_transform,
-    to_composition,
     write_count_table,
 )
 from taxonet.data import degenerate_taxa, drop_taxa, log_transform
@@ -56,6 +55,13 @@ class TestLoad:
         path = tmp_path / "gap.csv"
         path.write_text("s,a,b\nr1,1,\n")
         with pytest.raises(LoadError, match="missing"):
+            load_count_table(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e309"])
+    def test_non_finite_cell_names_coordinates(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"s,a,b\nr1,1,2\nr2,3,{cell}\n")
+        with pytest.raises(LoadError, match=r"infinite value at row 2, column 'b'"):
             load_count_table(path)
 
     def test_ragged_row(self, tmp_path):
@@ -110,6 +116,14 @@ class TestCountTable:
                 values=np.array([[1.0, np.nan]]), taxa=["a", "b"], samples=["r"]
             )
 
+    def test_infinite_rejected_with_coordinates(self):
+        with pytest.raises(LoadError, match=r"infinite value at row 2, column 'a'"):
+            CountTable(
+                values=np.array([[1.0, 2.0], [np.inf, 1.0]]),
+                taxa=["a", "b"],
+                samples=["r", "q"],
+            )
+
     def test_negative_rejected_with_coordinates(self):
         with pytest.raises(LoadError, match=r"row 2, column 'b'"):
             CountTable(
@@ -155,48 +169,85 @@ class TestFilter:
             filter_taxa(t, min_prevalence=0.1)
 
 
-class TestComposition:
-    def test_uniform_row_no_pseudo(self):
-        t = make_table(np.ones((1, 4)))
-        comp = to_composition(t, pseudo=0.0)
-        np.testing.assert_allclose(comp.values, 0.25)
+def reference_clr(v, pseudo):
+    """Reference clr, one step at a time: close the rows to proportions,
+    then take logs and subtract the row mean."""
+    shifted = v + pseudo
+    comp = shifted / shifted.sum(axis=1, keepdims=True)
+    logs = np.log(comp)
+    return logs - logs.mean(axis=1, keepdims=True)
 
-    def test_zero_row_forced_by_pseudo(self):
-        t = make_table(np.zeros((1, 2)))
-        comp = to_composition(t, pseudo=0.5)
-        np.testing.assert_allclose(comp.values, [[0.5, 0.5]])
 
-    def test_hand_arithmetic(self):
-        t = make_table(np.array([[3.0, 1.0, 0.0]]))
-        comp = to_composition(t, pseudo=0.5)
-        np.testing.assert_allclose(comp.values, [[3.5 / 5.5, 1.5 / 5.5, 0.5 / 5.5]])
-
-    def test_pseudo_zero_with_zeros_raises(self):
-        t = make_table(np.array([[1.0, 0.0]]))
-        with pytest.raises(TransformError):
-            to_composition(t, pseudo=0.0)
-
-    def test_rows_sum_to_one(self, small_table):
-        comp = to_composition(small_table, pseudo=0.5)
-        np.testing.assert_allclose(comp.values.sum(axis=1), 1.0, atol=1e-10)
+def reference_mclr(v):
+    nonzero = v > 0
+    out = np.zeros_like(v, dtype=float)
+    with np.errstate(divide="ignore"):
+        logs = np.where(nonzero, np.log(np.where(nonzero, v, 1.0)), 0.0)
+    row_means = logs.sum(axis=1) / nonzero.sum(axis=1)
+    out[nonzero] = (logs - row_means[:, None])[nonzero]
+    out[nonzero] += 1.0 - out[nonzero].min()
+    return out
 
 
 class TestClr:
     def test_uniform_row_maps_to_zero(self):
         t = make_table(np.full((2, 5), 3.0))
-        out = clr_transform(to_composition(t, pseudo=0.0))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+        out = clr_transform(t, pseudo=0.0)
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
+
+    def test_zero_row_forced_by_pseudo(self):
+        t = make_table(np.zeros((1, 2)))
+        np.testing.assert_array_equal(clr_transform(t, pseudo=0.5), [[0.0, 0.0]])
 
     def test_row_sums_zero(self, small_table):
-        out = clr_transform(to_composition(small_table, pseudo=0.5))
-        np.testing.assert_allclose(out.values.sum(axis=1), 0.0, atol=1e-8)
+        out = clr_transform(small_table, pseudo=0.5)
+        np.testing.assert_allclose(out.sum(axis=1), 0.0, atol=1e-8)
 
     def test_hand_arithmetic(self):
         t = make_table(np.array([[2.0, 1.0, 1.0]]))
-        out = clr_transform(to_composition(t, pseudo=0.0))
+        out = clr_transform(t, pseudo=0.0)
         m = (np.log(0.5) + 2 * np.log(0.25)) / 3
         expected = [np.log(0.5) - m, np.log(0.25) - m, np.log(0.25) - m]
-        np.testing.assert_allclose(out.values[0], expected)
+        np.testing.assert_allclose(out[0], expected)
+
+    def test_hand_arithmetic_with_pseudo(self):
+        t = make_table(np.array([[3.0, 1.0, 0.0]]))
+        out = clr_transform(t, pseudo=0.5)
+        logs = np.log([3.5 / 5.5, 1.5 / 5.5, 0.5 / 5.5])
+        np.testing.assert_allclose(out[0], logs - logs.mean())
+
+    def test_pseudo_zero_with_zeros_raises(self):
+        t = make_table(np.array([[1.0, 0.0]]))
+        with pytest.raises(TransformError, match="without zeros"):
+            clr_transform(t, pseudo=0.0)
+
+    def test_negative_pseudo_raises(self, small_table):
+        with pytest.raises(TransformError, match="pseudo-count"):
+            clr_transform(small_table, pseudo=-0.5)
+
+    def test_overflowing_row_sum_raises(self):
+        t = make_table(np.array([[1e308, 1e308, 1.0], [1.0, 2.0, 3.0]]))
+        with pytest.raises(TransformError, match="strictly positive"):
+            clr_transform(t)
+
+
+class TestTransformBits:
+    """clr and mclr give the bits of the reference arithmetic above."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clr_and_mclr_match_reference_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = rng.integers(3, 40), rng.integers(3, 30)
+        dense = rng.lognormal(2.0, 1.5, size=(n, p))
+        sparse = np.floor(rng.lognormal(1.0, 1.5, size=(n, p)))
+        sparse[:, 0] += 1.0
+        assert (sparse == 0).any()
+        clr_dense = clr_transform(make_table(dense), pseudo=0.0)
+        assert clr_dense.tobytes() == reference_clr(dense, 0.0).tobytes()
+        for v in (dense, sparse):
+            t = make_table(v)
+            assert clr_transform(t, pseudo=0.5).tobytes() == reference_clr(v, 0.5).tobytes()
+            assert mclr_transform(t).tobytes() == reference_mclr(v).tobytes()
 
 
 class TestMclr:
@@ -206,22 +257,22 @@ class TestMclr:
         v[:, 0] += 1.0   # ensure no all-zero row
         t = make_table(v)
         out = mclr_transform(t)
-        np.testing.assert_array_equal(out.values == 0.0, v == 0.0)
+        np.testing.assert_array_equal(out == 0.0, v == 0.0)
 
     def test_min_nonzero_is_one_under_auto(self, rng):
         v = np.floor(rng.lognormal(1.0, 1.5, size=(5, 4)))
         v[:, 0] += 1.0
         t = make_table(v)
         out = mclr_transform(t)
-        nz = out.values[v > 0]
+        nz = out[v > 0]
         assert abs(nz.min() - 1.0) < 1e-10
 
     def test_reduces_to_shifted_clr_without_zeros(self, rng):
         v = rng.lognormal(1.0, 0.8, size=(6, 5))
         t = make_table(v)
         out = mclr_transform(t)
-        clr = clr_transform(to_composition(t, pseudo=0.0))
-        diff = out.values - clr.values
+        clr = clr_transform(t, pseudo=0.0)
+        diff = out - clr
         assert np.ptp(diff) < 1e-9   # constant offset everywhere
 
     def test_all_zero_row_names_sample(self):
@@ -235,17 +286,12 @@ class TestMclr:
 class TestDegenerate:
     def test_constant_taxon_detected(self):
         v = np.column_stack([np.arange(1.0, 7.0), np.full(6, 2.0), np.arange(2.0, 8.0)])
-        comp = to_composition(make_table(v), pseudo=0.5)
-        out = clr_transform(comp)
+        t = make_table(v)
+        out = clr_transform(t, pseudo=0.5)
         # proportional columns stay non-degenerate after clr; force one
-        frozen = out.values.copy()
+        frozen = out.copy()
         frozen[:, 1] = 0.7
-        from taxonet.data import TransformedTable
-
-        tt = TransformedTable(
-            values=frozen, transform="clr", taxa=out.taxa, samples=out.samples
-        )
-        assert degenerate_taxa(tt) == ["T01"]
+        assert degenerate_taxa(frozen, t.taxa) == ["T01"]
 
     def test_drop_taxa(self, small_table):
         out = drop_taxa(small_table, [small_table.taxa[2]])
@@ -260,7 +306,7 @@ class TestLog:
     def test_log_transform_values(self):
         t = make_table(np.array([[1.0, 3.0, 0.0]]))
         out = log_transform(t, pseudo=0.5)
-        np.testing.assert_allclose(out.values, np.log([[1.5, 3.5, 0.5]]))
+        np.testing.assert_allclose(out, np.log([[1.5, 3.5, 0.5]]))
 
     def test_log_zero_pseudo_with_zeros(self):
         t = make_table(np.array([[1.0, 0.0]]))

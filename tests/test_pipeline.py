@@ -326,6 +326,34 @@ class TestCli:
         assert "cannot read count table" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def counts_with_cells(path, cells):
+        """The small table as TSV, with the given cells of its third sample row
+        (``{column: text}``) replaced."""
+        write_counts_tsv(path, small_counts())
+        lines = path.read_text().splitlines()
+        row = lines[3].split("\t")
+        for j, text in cells.items():
+            row[j] = text
+        lines[3] = "\t".join(row)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_infinite_count_exits_2_naming_the_cell(self, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        self.counts_with_cells(counts, {2: "inf"})
+        out = tmp_path / "o"
+        assert main(["run", "--input", str(counts), "--out", str(out)]) == 2
+        assert "infinite value at row 3, column 'T01'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_row_exits_2(self, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        self.counts_with_cells(counts, {1: "1e308", 2: "1e308"})
+        out = tmp_path / "o"
+        assert main(["run", "--input", str(counts), "--out", str(out)]) == 2
+        assert "composition entries must be strictly positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_overrides_the_config_file(self, tmp_path):
         counts = tmp_path / "counts.tsv"
         write_counts_tsv(counts, small_counts())
