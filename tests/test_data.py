@@ -189,6 +189,17 @@ def reference_mclr(v):
     return out
 
 
+class TestComposition:
+    """The row closure inside clr_transform: exp of a CLR row, closed
+    again, gives back the proportions the row was closed to."""
+
+    def test_uniform_row_no_pseudo(self):
+        t = make_table(np.ones((1, 4)))
+        out = np.exp(clr_transform(t, pseudo=0.0))
+        comp = out / out.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(comp, 0.25)
+
+
 class TestClr:
     def test_uniform_row_maps_to_zero(self):
         t = make_table(np.full((2, 5), 3.0))
