@@ -29,11 +29,13 @@ from .consensus import threshold_network, threshold_sweep
 from .errors import ConfigError, ConsensusError, TaxonetError
 from .exports import EXPORT_FORMATS, export_graph
 from .pipeline import (
+    labeled_matrix_text,
     load_consensus,
     read_labeled_matrix,
     read_manifest,
     run_pipeline,
-    _write_labeled_matrix,
+    sweep_text,
+    _write_text,
 )
 from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
 
@@ -114,7 +116,7 @@ def _cmd_threshold(args) -> int:
     net = threshold_network(c, args.t)
     degrees = net.adj.sum(axis=0)
     path = os.path.join(out, f"thresholded_t{args.t}.tsv")
-    _write_labeled_matrix(path, list(net.taxa), net.adj, "taxon")
+    _write_text(path, labeled_matrix_text(net.taxa, net.adj, "taxon"))
     print(f"t={args.t}: {int((degrees > 0).sum())} connected nodes, "
           f"{net.n_edges} edges -> {path}")
     return 0
@@ -131,19 +133,14 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    c = load_consensus(_out_dir(args))
-    print("t\tconnected_node_count\tedge_count")
-    for row in threshold_sweep(c):
-        print(f"{row.t}\t{row.connected_node_count}\t{row.edge_count}")
+    print(sweep_text(threshold_sweep(load_consensus(_out_dir(args)))), end="")
     return 0
 
 
 def _cmd_hamming(args) -> int:
     out = _out_dir(args)
     labels, h = read_labeled_matrix(os.path.join(out, "hamming_matrix.tsv"))
-    print("method\t" + "\t".join(labels))
-    for lab, row in zip(labels, h):
-        print(lab + "\t" + "\t".join(str(int(v)) for v in row))
+    print(labeled_matrix_text(labels, h, "method"), end="")
     return 0
 
 

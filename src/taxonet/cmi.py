@@ -125,9 +125,7 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
 
     mi_threshold = float(np.quantile(mi[iu], params.q1))
     stage1_adj = (mi >= mi_threshold) & ~np.eye(p, dtype=bool)
-    stage1 = network_from_mask(
-        stage1_adj, list(table.taxa), provenance={"stage": 1, "mi_threshold": mi_threshold}
-    )
+    stage1 = network_from_mask(stage1_adj, list(table.taxa))
 
     # the zero diagonal of adj leaves k = i and k = j out of `shared`; an edge
     # with no shared neighbour keeps weakest = inf and passes
@@ -144,13 +142,8 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
     cmi_threshold = float(np.quantile(pool, params.q2)) if pool.size else None
     keep = adj if cmi_threshold is None else adj & (weakest >= cmi_threshold)
 
-    network = network_from_mask(
-        keep,
-        list(table.taxa),
-        provenance={"stage": 2, "mi_threshold": mi_threshold, "cmi_threshold": cmi_threshold},
-    )
     return CmimnResult(
-        network=network,
+        network=network_from_mask(keep, list(table.taxa)),
         stage1=stage1,
         mi=mi,
         mi_threshold=mi_threshold,

@@ -1,6 +1,9 @@
 """Vote aggregation: binarize each method's output, sum agreement into a
 weighted consensus network, threshold it, and compare networks.
 
+A vote is an adjacency over a roster, named by its method in the consensus;
+what the method chose on the way lives in ``MethodResult.selection``.
+
 The consensus weight of a pair is simply the number of methods whose binary
 network contains that edge, so weights live in [0, M] for M contributing
 methods.  Thresholding at t keeps edges with weight strictly greater than t,
@@ -64,7 +67,6 @@ class BinarizationRule:
 
 def binarize(result: MethodResult, rule: BinarizationRule) -> BinaryNetwork:
     """Apply one rule to one method result."""
-    prov = {"method": result.method, "rule": rule.describe()}
     if rule.kind == "native_sparse":
         if result.network is None:
             raise RuleError(f"native_sparse rule but {result.method} produced no network")
@@ -78,7 +80,7 @@ def binarize(result: MethodResult, rule: BinarizationRule) -> BinaryNetwork:
         else:
             iu = np.triu_indices(mag.shape[0], k=1)
             cut = float(np.quantile(mag[iu], rule.q))
-        return network_from_mask(mag >= cut, result.taxa, prov | {"cut": float(cut)})
+        return network_from_mask(mag >= cut, result.taxa)
     # pvalue rule
     if result.pvalues is None:
         raise RuleError(f"pvalue rule but {result.method} produced no p-values")
@@ -89,7 +91,7 @@ def binarize(result: MethodResult, rule: BinarizationRule) -> BinaryNetwork:
                 f"pvalue rule with abs threshold but {result.method} produced no weighted matrix"
             )
         mask = mask & (np.abs(result.weighted) >= rule.threshold)
-    return network_from_mask(mask, result.taxa, prov)
+    return network_from_mask(mask, result.taxa)
 
 
 def _check_roster(taxa_a: list[str], taxa_b: list[str], what: str) -> None:
@@ -131,16 +133,11 @@ class WeightedConsensus:
         return len(self.taxa)
 
 
-def build_consensus(
-    nets: list[BinaryNetwork], methods: list[str] | None = None
-) -> WeightedConsensus:
-    """Sum the votes of two or more binary networks on an identical roster."""
+def build_consensus(nets: list[BinaryNetwork], methods: list[str]) -> WeightedConsensus:
+    """Sum the votes of two or more binary networks on an identical roster;
+    ``methods`` names the method of each network, in order."""
     if len(nets) < 2:
         raise ConsensusError(f"a consensus needs at least 2 networks, got {len(nets)}")
-    if methods is None:
-        methods = [
-            str(net.provenance.get("method", f"method_{k}")) for k, net in enumerate(nets)
-        ]
     if len(methods) != len(nets):
         raise ConsensusError("one method identifier per network is required")
     if len(set(methods)) != len(methods):
@@ -163,7 +160,7 @@ def threshold_network(c: WeightedConsensus, t: int) -> BinaryNetwork:
     t = int(t)
     if t > c.n_methods:
         raise ThresholdError(f"threshold {t} exceeds the method count {c.n_methods}")
-    return network_from_mask(c.weights > t, c.taxa, {"threshold": t})
+    return network_from_mask(c.weights > t, c.taxa)
 
 
 @dataclass(frozen=True)

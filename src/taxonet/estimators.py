@@ -119,7 +119,7 @@ def spieceasi_fit(
         path,
         StarsParams(rep_num=rep_num, seed=seed),
         taxa=table.taxa,
-        provenance={"method": f"spieceasi_{mode}"},
+        method=f"spieceasi_{mode}",
     )
     record = asdict(params)
     record["rep_num"] = rep_num
@@ -172,7 +172,7 @@ def spring_fit(
         path,
         StarsParams(rep_num=params.rep_num, seed=seed),
         taxa=table.taxa,
-        provenance={"method": "spring"},
+        method="spring",
     )
     return MethodResult(
         method="spring",
@@ -320,16 +320,11 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
         log.warning("gcoda: %d of %d penalties could not be scored (a fit lost positive "
                     "definiteness); EBIC chooses among the rest", len(unscorable), len(lams))
     sel = scored[ebic_choose(np.array([rows[k] for k in scored]))]
-    net = network_from_mask(
-        masks[sel],
-        table.taxa,
-        provenance={"method": "gcoda", "lambda": rows[sel][0], "selection": "ebic"},
-    )
     return MethodResult(
         method="gcoda",
         params=asdict(params),
         taxa=list(table.taxa),
-        network=net,
+        network=network_from_mask(masks[sel], table.taxa),
         selection={
             "lambda": rows[sel][0],
             "lambda_index": sel,

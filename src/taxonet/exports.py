@@ -35,8 +35,7 @@ def _as_weighted_edges(obj):
         pairs = sorted(
             obj.edge_set(), key=lambda ij: (min(taxa[ij[0]], taxa[ij[1]]), max(taxa[ij[0]], taxa[ij[1]]))
         )
-        method = str(obj.provenance.get("method", ""))
-        edges = [(i, j, 1, method) for i, j in pairs]
+        edges = [(i, j, 1, "") for i, j in pairs]
         return taxa, edges, False
     raise ExportError(f"cannot export object of type {type(obj).__name__}")
 
@@ -131,4 +130,4 @@ def import_edgelist_tsv(path, taxa: list[str]) -> BinaryNetwork:
                 adj[index[b], index[a]] = 1
     except OSError as exc:
         raise ExportError(f"cannot read {path}: {exc}") from exc
-    return BinaryNetwork(adj=adj, taxa=list(taxa), provenance={"source": "edgelist"})
+    return BinaryNetwork(adj=adj, taxa=list(taxa))

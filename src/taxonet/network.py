@@ -1,4 +1,6 @@
-"""Network value types shared by the estimators and the consensus stage."""
+"""Network value types shared by the estimators and the consensus stage: a
+vote is an adjacency over a roster of taxa, and what a method chose on the
+way to it (penalty, thresholds, convergence) lives in ``MethodResult.selection``."""
 
 from __future__ import annotations
 
@@ -12,15 +14,11 @@ from .errors import ConsensusError
 
 @dataclass(frozen=True)
 class BinaryNetwork:
-    """Symmetric 0/1 adjacency with a zero diagonal: one method's vote.
-
-    ``provenance`` records how the network was produced (method id plus the
-    selected penalty or thresholds).
-    """
+    """Symmetric 0/1 adjacency with a zero diagonal over ``taxa``: one
+    method's vote."""
 
     adj: np.ndarray
     taxa: list[str]
-    provenance: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         a = np.asarray(self.adj)
@@ -53,15 +51,13 @@ class BinaryNetwork:
         return self.n_edges / (p * (p - 1) / 2)
 
 
-def network_from_mask(mask: np.ndarray, taxa, provenance=None) -> BinaryNetwork:
+def network_from_mask(mask: np.ndarray, taxa) -> BinaryNetwork:
     """Build a network from any boolean/int matrix: symmetrized by OR,
     diagonal cleared."""
     m = np.asarray(mask) != 0
     m = m | m.T
     np.fill_diagonal(m, False)
-    return BinaryNetwork(
-        adj=m.astype(np.int8), taxa=list(taxa), provenance=dict(provenance or {})
-    )
+    return BinaryNetwork(adj=m.astype(np.int8), taxa=list(taxa))
 
 
 @dataclass

@@ -106,9 +106,10 @@ def _execute_method(method: str, table: CountTable, params, seed: int):
 
 
 def prepare_table(cfg: PipelineConfig, table: CountTable | None = None):
-    """Load, filter, and strip taxa that carry no usable signal.
+    """Load, filter, and strip taxa that carry no usable signal: those
+    with all-zero counts, then those constant after the transform.
 
-    Returns the working table and the list of dropped degenerate taxa.
+    Returns the working table and the list of dropped taxa, in roster order.
     """
     if table is None:
         if cfg.input_path is None:
@@ -119,8 +120,10 @@ def prepare_table(cfg: PipelineConfig, table: CountTable | None = None):
         raise FilterError(f"only {table.n_taxa} taxa left after filtering; need at least 3")
     if table.n_samples < 4:
         raise FilterError(f"only {table.n_samples} samples; need at least 4")
-    transformed = clr_transform(table, pseudo=0.5)
-    degenerate = degenerate_taxa(transformed, table.taxa)
+    zero = [t for t, total in zip(table.taxa, table.values.sum(axis=0)) if total == 0]
+    kept = drop_taxa(table, zero)
+    degenerate = sorted(zero + degenerate_taxa(clr_transform(kept, pseudo=0.5), kept.taxa),
+                        key=table.taxa.index)
     if degenerate:
         log.warning(
             "dropping %d degenerate taxa (no variation after transform): %s",
@@ -171,15 +174,25 @@ def run_methods(cfg: PipelineConfig, table: CountTable) -> dict[str, MethodRun]:
     return runs
 
 
-def _write_labeled_matrix(path, labels: list[str], values: np.ndarray, corner: str) -> None:
+def labeled_matrix_text(labels: list[str], values: np.ndarray, corner: str) -> str:
+    """An integer matrix as TSV under a header of ``corner`` and the labels."""
+    rows = [lab + "\t" + "\t".join(str(int(v)) for v in row) for lab, row in zip(labels, values)]
+    return "\n".join([corner + "\t" + "\t".join(labels)] + rows) + "\n"
+
+
+def sweep_text(sweep: list[SweepRow]) -> str:
+    """The threshold sweep as TSV, one row per threshold."""
+    rows = [f"{r.t}\t{r.connected_node_count}\t{r.edge_count}\n" for r in sweep]
+    return "t\tconnected_node_count\tedge_count\n" + "".join(rows)
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(corner + "\t" + "\t".join(labels) + "\n")
-        for lab, row in zip(labels, values):
-            fh.write(lab + "\t" + "\t".join(str(int(v)) for v in row) + "\n")
+        fh.write(text)
 
 
 def read_labeled_matrix(path):
-    """Labels and integer matrix of a file written by ``_write_labeled_matrix``;
+    """Labels and integer matrix of a file in ``labeled_matrix_text`` form;
     a missing or malformed file is a ``ConsensusError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -205,23 +218,16 @@ def write_artifacts(run: PipelineRun) -> list[str]:
 
     for m in run.succeeded:
         vote = run.runs[m].vote
-        _write_labeled_matrix(
-            record(f"adjacency_{m}.tsv"), list(vote.taxa), vote.adj, "taxon"
-        )
+        _write_text(record(f"adjacency_{m}.tsv"), labeled_matrix_text(vote.taxa, vote.adj, "taxon"))
 
     c = run.consensus
     if c is not None:
-        _write_labeled_matrix(
-            record("consensus_matrix.tsv"), list(c.taxa), c.weights, "taxon"
-        )
+        _write_text(record("consensus_matrix.tsv"),
+                    labeled_matrix_text(c.taxa, c.weights, "taxon"))
         export_graph(c, "edgelist_tsv", record("edge_list.tsv"))
-        with open(record("threshold_sweep.tsv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write("t\tconnected_node_count\tedge_count\n")
-            for row in run.sweep:
-                fh.write(f"{row.t}\t{row.connected_node_count}\t{row.edge_count}\n")
-        _write_labeled_matrix(
-            record("hamming_matrix.tsv"), list(c.methods), run.hamming, "method"
-        )
+        _write_text(record("threshold_sweep.tsv"), sweep_text(run.sweep))
+        _write_text(record("hamming_matrix.tsv"),
+                    labeled_matrix_text(c.methods, run.hamming, "method"))
         layouts: dict = {}
         panel_paths, _ = render_threshold_panel(
             c, out, layout_seed=run.config.seed, layouts=layouts
@@ -239,8 +245,7 @@ def write_artifacts(run: PipelineRun) -> list[str]:
             run.hamming, list(c.methods), record("hamming_heatmap.svg")
         )
 
-    with open(record("config_echo.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(config_to_text(run.config))
+    _write_text(record("config_echo.txt"), config_to_text(run.config))
 
     manifest = {
         "seed": run.config.seed,
@@ -327,13 +332,14 @@ def read_manifest(out_dir) -> dict:
 
 def load_consensus(out_dir) -> WeightedConsensus:
     """Rebuild the consensus of a finished run from its artifact directory."""
-    methods = read_manifest(out_dir).get("consensus_methods") or []
+    methods = read_manifest(out_dir).get("consensus_methods", [])
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ConsensusError(f"run manifest {os.path.join(out_dir, MANIFEST_NAME)} records "
+                             f"consensus_methods {methods!r}, not a list of method names")
     if len(methods) < 2:
         raise ConsensusError(f"run in {out_dir} has no consensus (methods: {methods})")
     nets = []
     for m in methods:
         labels, adj = read_labeled_matrix(os.path.join(out_dir, f"adjacency_{m}.tsv"))
-        nets.append(
-            BinaryNetwork(adj=adj.astype(np.int8), taxa=labels, provenance={"method": m})
-        )
+        nets.append(BinaryNetwork(adj=adj.astype(np.int8), taxa=labels))
     return build_consensus(nets, methods)

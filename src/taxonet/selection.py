@@ -112,7 +112,7 @@ def stars_select(
     path: LambdaPath,
     params: StarsParams,
     taxa=None,
-    provenance=None,
+    method: str = "stars",
 ) -> StarsResult:
     """Stability-based penalty selection over row subsamples.
 
@@ -128,7 +128,8 @@ def stars_select(
     since no denser penalty can be kept once the monotone curve has crossed
     it; ``instability`` and ``monotone_instability`` hold that evaluated
     prefix, all of the path when nothing crosses.  When not even the
-    sparsest penalty passes, it is returned flagged and a warning is logged.
+    sparsest penalty passes, it is returned flagged and a warning naming
+    ``method`` is logged.
     ``unconverged_fits`` counts the subsample fits and the refit that
     stopped at their iteration limit.
     """
@@ -157,7 +158,6 @@ def stars_select(
     instability = np.array(curve)
     monotone = np.maximum.accumulate(instability)
     admissible = np.flatnonzero(monotone <= params.beta_threshold)
-    prov = dict(provenance or {})
     if admissible.size:
         sel = int(admissible[-1])
         met = True
@@ -167,14 +167,12 @@ def stars_select(
         log.warning(
             "%s: no penalty has StARS instability at or below %g; keeping the "
             "most stable one, lambda %.6g with instability %.6g",
-            prov.get("method", "stars"), params.beta_threshold, lams[sel], monotone[sel],
+            method, params.beta_threshold, lams[sel], monotone[sel],
         )
     full, missed = next(iter(fitter(x[None], lams[sel : sel + 1])))
-    prov.update({"lambda": float(lams[sel]), "selection": "stars"})
     labels = taxa if taxa is not None else [f"V{i}" for i in range(p)]
-    net = network_from_mask(full[0], labels, provenance=prov)
     return StarsResult(
-        network=net,
+        network=network_from_mask(full[0], labels),
         lam=float(lams[sel]),
         lambda_index=sel,
         instability=instability,

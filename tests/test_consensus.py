@@ -26,12 +26,11 @@ def taxa_labels(p):
     return [f"t{k}" for k in range(p)]
 
 
-def net_from_pairs(p, pairs, taxa=None, method=None):
+def net_from_pairs(p, pairs, taxa=None):
     adj = np.zeros((p, p), dtype=np.int8)
     for i, j in pairs:
         adj[i, j] = adj[j, i] = 1
-    prov = {"method": method} if method is not None else {}
-    return BinaryNetwork(adj=adj, taxa=taxa or taxa_labels(p), provenance=prov)
+    return BinaryNetwork(adj=adj, taxa=taxa or taxa_labels(p))
 
 
 def corr_result(weighted, pvalues=None, method="pearson"):
@@ -121,7 +120,6 @@ class TestBinarize:
         net = binarize(corr_result(w), BinarizationRule("abs_threshold", threshold=0.3))
         assert net.n_edges == 5
         assert net.edge_set() == {(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)}
-        assert net.provenance["rule"] == "abs_threshold:0.3"
 
     def test_top_quantile_uses_offdiagonal_magnitudes(self):
         # six magnitudes 0.1 .. 0.6, median 0.35: the top three survive
@@ -138,7 +136,6 @@ class TestBinarize:
         )
         net = binarize(corr_result(w), BinarizationRule("top_quantile", q=0.5))
         assert net.edge_set() == {(1, 2), (1, 3), (2, 3)}
-        assert net.provenance["cut"] == pytest.approx(0.35)
 
     def test_pvalue_rule_keeps_small_pvalues(self):
         w = symmetric(3, {(0, 1): 0.9, (0, 2): 0.8, (1, 2): 0.7})
@@ -177,8 +174,8 @@ class TestBinarize:
 
 class TestBuildConsensus:
     def test_two_identical_networks_give_weight_two(self):
-        nets = [net_from_pairs(4, [(0, 1), (2, 3)], method=m) for m in ("a", "b")]
-        cons = build_consensus(nets)
+        nets = [net_from_pairs(4, [(0, 1), (2, 3)]) for _ in range(2)]
+        cons = build_consensus(nets, methods=["a", "b"])
         assert cons.weights[0, 1] == 2
         assert cons.weights[2, 3] == 2
         assert set(np.unique(cons.weights)) == {0, 2}
@@ -202,26 +199,25 @@ class TestBuildConsensus:
                 BinaryNetwork(
                     adj=((mask | mask.T) & ~np.eye(6, dtype=bool)).astype(np.int8),
                     taxa=taxa_labels(6),
-                    provenance={"method": f"m{k}"},
                 )
             )
-        cons = build_consensus(nets)
+        cons = build_consensus(nets, methods=[f"m{k}" for k in range(5)])
         assert cons.weights.max() <= 5
         assert cons.n_methods == 5
 
     def test_order_of_networks_does_not_change_weights(self):
         nets = [
-            net_from_pairs(5, [(0, 1), (1, 2)], method="a"),
-            net_from_pairs(5, [(1, 2)], method="b"),
-            net_from_pairs(5, [(3, 4)], method="c"),
+            net_from_pairs(5, [(0, 1), (1, 2)]),
+            net_from_pairs(5, [(1, 2)]),
+            net_from_pairs(5, [(3, 4)]),
         ]
-        forward = build_consensus(nets)
-        backward = build_consensus(nets[::-1])
+        forward = build_consensus(nets, methods=["a", "b", "c"])
+        backward = build_consensus(nets[::-1], methods=["c", "b", "a"])
         assert np.array_equal(forward.weights, backward.weights)
 
     def test_fewer_than_two_networks_rejected(self):
         with pytest.raises(ConsensusError, match="at least 2"):
-            build_consensus([net_from_pairs(3, [(0, 1)])])
+            build_consensus([net_from_pairs(3, [(0, 1)])], methods=["a"])
 
     def test_roster_mismatch_names_the_first_disagreement(self):
         a = net_from_pairs(3, [(0, 1)], taxa=["a", "b", "c"])
@@ -267,11 +263,11 @@ class TestBuildConsensus:
 class TestThresholding:
     def three_method_consensus(self):
         nets = [
-            net_from_pairs(4, [(0, 1), (1, 2)], method="a"),
-            net_from_pairs(4, [(0, 1), (2, 3)], method="b"),
-            net_from_pairs(4, [(0, 1)], method="c"),
+            net_from_pairs(4, [(0, 1), (1, 2)]),
+            net_from_pairs(4, [(0, 1), (2, 3)]),
+            net_from_pairs(4, [(0, 1)]),
         ]
-        return build_consensus(nets)
+        return build_consensus(nets, methods=["a", "b", "c"])
 
     def test_threshold_zero_is_the_union(self):
         cons = self.three_method_consensus()
@@ -297,10 +293,6 @@ class TestThresholding:
         with pytest.raises(ThresholdError, match="nonnegative integer"):
             threshold_network(self.three_method_consensus(), t)
 
-    def test_threshold_network_records_the_threshold(self):
-        net = threshold_network(self.three_method_consensus(), 1)
-        assert net.provenance["threshold"] == 1
-
     def test_sweep_of_two_disjoint_single_edge_networks(self):
         cons = build_consensus(
             [net_from_pairs(5, [(0, 1)]), net_from_pairs(5, [(2, 3)])],
@@ -325,10 +317,10 @@ class TestThresholding:
 class TestEdgeRecords:
     def test_sorted_by_weight_then_labels(self):
         nets = [
-            net_from_pairs(3, [(0, 1)], taxa=["a", "b", "c"], method="m1"),
-            net_from_pairs(3, [(0, 1), (1, 2)], taxa=["a", "b", "c"], method="m2"),
+            net_from_pairs(3, [(0, 1)], taxa=["a", "b", "c"]),
+            net_from_pairs(3, [(0, 1), (1, 2)], taxa=["a", "b", "c"]),
         ]
-        records = edge_records(build_consensus(nets))
+        records = edge_records(build_consensus(nets, methods=["m1", "m2"]))
         assert [(r.taxon_a, r.taxon_b, r.weight) for r in records] == [
             ("a", "b", 2),
             ("b", "c", 1),

@@ -15,20 +15,19 @@ def taxa_labels(p):
     return [f"t{k}" for k in range(p)]
 
 
-def net_from_pairs(p, pairs, taxa=None, method=None):
+def net_from_pairs(p, pairs, taxa=None):
     adj = np.zeros((p, p), dtype=np.int8)
     for i, j in pairs:
         adj[i, j] = adj[j, i] = 1
-    prov = {"method": method} if method is not None else {}
-    return BinaryNetwork(adj=adj, taxa=taxa or taxa_labels(p), provenance=prov)
+    return BinaryNetwork(adj=adj, taxa=taxa or taxa_labels(p))
 
 
 def small_consensus():
     nets = [
-        net_from_pairs(4, [(0, 1), (1, 2)], method="m1"),
-        net_from_pairs(4, [(0, 1)], method="m2"),
+        net_from_pairs(4, [(0, 1), (1, 2)]),
+        net_from_pairs(4, [(0, 1)]),
     ]
-    return build_consensus(nets)
+    return build_consensus(nets, methods=["m1", "m2"])
 
 
 class TestGraphml:
@@ -44,13 +43,13 @@ class TestGraphml:
         assert g.edges["t0", "t1"]["methods"] == "m1,m2"
 
     def test_binary_network_parses_without_weight_attribute(self, tmp_path):
-        net = net_from_pairs(3, [(0, 2)], method="sparcc")
+        net = net_from_pairs(3, [(0, 2)])
         path = tmp_path / "net.graphml"
         export_graph(net, "graphml", path)
         g = nx.read_graphml(path)
         assert g.number_of_edges() == 1
         assert "weight" not in g.edges["t0", "t2"]
-        assert g.edges["t0", "t2"]["methods"] == "sparcc"
+        assert "methods" not in g.edges["t0", "t2"]
 
     def test_empty_network_keeps_the_full_roster(self, tmp_path):
         net = net_from_pairs(5, [])

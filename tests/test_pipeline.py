@@ -272,6 +272,13 @@ class TestPrepareTable:
         with pytest.raises(FilterError, match="no input table"):
             prepare_table(cfg, None)
 
+    def test_all_zero_taxa_are_dropped_in_roster_order(self):
+        values = small_counts().values.copy()
+        values[:, [2, 5]] = 0.0
+        kept, dropped = prepare_table(build_config({"methods": FAST_METHODS}), make_table(values))
+        assert dropped == ["T02", "T05"]
+        assert kept.taxa == ["T00", "T01", "T03", "T04", "T06", "T07"]
+
 
 class TestCli:
     def test_run_verb_full_cycle(self, tmp_path, capsys):
@@ -307,6 +314,25 @@ class TestCli:
 
         assert main(["render", "--out", str(out)]) == 0
         assert "rendered" in capsys.readouterr().out
+
+    def test_sweep_and_hamming_print_their_run_files(self, finished_run, capsys):
+        _, out = finished_run
+        for verb, name in (("sweep", "threshold_sweep.tsv"), ("hamming", "hamming_matrix.tsv")):
+            assert main([verb, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == (out / name).read_text()
+
+    def test_all_zero_taxon_is_dropped_and_every_method_runs(self, tmp_path):
+        values = small_counts().values.copy()
+        values[:, 2] = 0.0
+        counts = tmp_path / "counts.tsv"
+        write_counts_tsv(counts, make_table(values))
+        out = tmp_path / "o"
+        code = main(["run", "--input", str(counts), "--out", str(out),
+                     "--methods", "pearson,spearman,bicor,sparcc,cmimn"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dropped_taxa"] == ["T02"]
+        assert manifest["methods"]["sparcc"]["status"] == "ok"
 
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, capsys):
         counts = tmp_path / "counts.tsv"
@@ -425,6 +451,16 @@ class TestCli:
         (tmp_path / "manifest.json").write_text("[]")
         assert main(verb + ["--out", str(tmp_path)]) == 2
         assert "not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", ["5", "true", '"pearson"', '["pearson", 2]'])
+    @pytest.mark.parametrize(
+        "verb", [["threshold", "--t", "0"], ["export", "--format", "dot"], ["sweep"], ["render"]]
+    )
+    def test_consensus_methods_that_are_not_names_exit_2(self, tmp_path, capsys, verb, methods):
+        (tmp_path / "manifest.json").write_text(f'{{"consensus_methods": {methods}, "seed": 1}}')
+        assert main(verb + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a list of method names" in err and "manifest.json" in err
 
     @staticmethod
     def run_copy(finished_run, tmp_path):

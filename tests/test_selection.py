@@ -110,7 +110,7 @@ class TestStars:
 
         res = stars_select(
             x, fitter, two_lambda_path(), StarsParams(rep_num=10),
-            provenance={"method": "coin_flip"},
+            method="coin_flip",
         )
         # selection frequency 1/2 gives edge variability 2*f*(1-f) = 1/2
         np.testing.assert_allclose(res.instability, 0.5, atol=1e-12)
