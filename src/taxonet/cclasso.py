@@ -15,12 +15,13 @@ edge significance comes from bootstrap refits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import CountTable, clr_transform
 from .errors import EstimatorError
+from .network import MethodResult
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PSD_FLOOR = 1e-8
@@ -36,14 +37,6 @@ class CclassoParams:
     lam_int: tuple[float, float] = (1e-4, 1.0)
     k_max: int = 20
     n_boot: int = 20
-
-
-@dataclass
-class CclassoResult:
-    correlation: np.ndarray
-    pvalues: np.ndarray
-    selected_lambda: float
-    converged: bool
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -132,7 +125,7 @@ def _golden_section(evaluate, lo: float, hi: float, max_evals: int = 20):
 
 def cclasso_fit(
     table: CountTable, params: CclassoParams | None = None, seed: int = 0
-) -> CclassoResult:
+) -> MethodResult:
     """Sparse latent correlation with cross-validated penalty and bootstrap
     edge p-values.
 
@@ -176,9 +169,11 @@ def cclasso_fit(
     pvalues = (disagree + 1.0) / (params.n_boot + 1.0)
     np.fill_diagonal(pvalues, 0.0)
 
-    return CclassoResult(
-        correlation=r_hat,
+    return MethodResult(
+        method="cclasso",
+        params=asdict(params),
+        taxa=list(table.taxa),
+        weighted=r_hat,
         pvalues=pvalues,
-        selected_lambda=lam_best,
-        converged=converged,
+        selection={"lambda": lam_best, "converged": converged},
     )

@@ -13,13 +13,13 @@ same elementwise MI formula that ``gaussian_mi`` and ``conditional_mi`` use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import CountTable, clr_transform, mclr_transform
 from .errors import EstimatorError
-from .network import BinaryNetwork, network_from_mask
+from .network import MethodResult, network_from_mask
 
 _R_CLIP = 1.0 - 1e-12
 
@@ -36,15 +36,6 @@ class CmimnParams:
             raise EstimatorError(
                 f"quantiles must satisfy 0 < q1 <= q2 < 1, got q1={self.q1}, q2={self.q2}"
             )
-
-
-@dataclass
-class CmimnResult:
-    network: BinaryNetwork
-    stage1: BinaryNetwork
-    mi: np.ndarray
-    mi_threshold: float
-    cmi_threshold: float | None
 
 
 def _mi_from_r(r):
@@ -102,7 +93,7 @@ def _transformed_values(table: CountTable, params: CmimnParams) -> np.ndarray:
     return mclr_transform(table)
 
 
-def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResult:
+def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> MethodResult:
     """Stage one is MI on the upper triangle of r; stage two tests one row's
     stage-1 edges against all taxa at once, as a (edges in row) x p array."""
     params = params or CmimnParams()
@@ -124,12 +115,10 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
     mi += mi.T
 
     mi_threshold = float(np.quantile(mi[iu], params.q1))
-    stage1_adj = (mi >= mi_threshold) & ~np.eye(p, dtype=bool)
-    stage1 = network_from_mask(stage1_adj, list(table.taxa))
 
     # the zero diagonal of adj leaves k = i and k = j out of `shared`; an edge
     # with no shared neighbour keeps weakest = inf and passes
-    adj = stage1.adj.astype(bool)
+    adj = (mi >= mi_threshold) & ~np.eye(p, dtype=bool)
     weakest = np.full((p, p), np.inf)
     pools = []
     for i in range(p):
@@ -142,10 +131,15 @@ def cmimn_fit(table: CountTable, params: CmimnParams | None = None) -> CmimnResu
     cmi_threshold = float(np.quantile(pool, params.q2)) if pool.size else None
     keep = adj if cmi_threshold is None else adj & (weakest >= cmi_threshold)
 
-    return CmimnResult(
-        network=network_from_mask(keep, list(table.taxa)),
-        stage1=stage1,
-        mi=mi,
-        mi_threshold=mi_threshold,
-        cmi_threshold=cmi_threshold,
+    return MethodResult(
+        method="cmimn",
+        params=asdict(params),
+        taxa=list(table.taxa),
+        weighted=mi,
+        network=network_from_mask(keep, table.taxa),
+        selection={
+            "mi_threshold": mi_threshold,
+            "cmi_threshold": cmi_threshold,
+            "stage1_edges": int(adj.sum()) // 2,
+        },
     )

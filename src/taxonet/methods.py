@@ -104,31 +104,11 @@ def _run_gcoda(method, table, params: GcodaParams, seed: int):
 
 
 def _run_cmimn(method, table, params: CmimnParams, seed: int):
-    fit = cmimn_fit(table, params)
-    return MethodResult(
-        method="cmimn",
-        params=asdict(params),
-        taxa=list(table.taxa),
-        weighted=fit.mi,
-        network=fit.network,
-        selection={
-            "mi_threshold": fit.mi_threshold,
-            "cmi_threshold": fit.cmi_threshold,
-            "stage1_edges": fit.stage1.n_edges,
-        },
-    )
+    return cmimn_fit(table, params)
 
 
 def _run_cclasso(method, table, params: CclassoParams, seed: int):
-    fit = cclasso_fit(table, params, seed=seed)
-    return MethodResult(
-        method="cclasso",
-        params=asdict(params),
-        taxa=list(table.taxa),
-        weighted=fit.correlation,
-        pvalues=fit.pvalues,
-        selection={"lambda": fit.selected_lambda, "converged": fit.converged},
-    )
+    return cclasso_fit(table, params, seed=seed)
 
 
 _ABS_RULE = BinarizationRule(kind="abs_threshold", threshold=0.3)

@@ -104,7 +104,7 @@ class TestSolver:
 class TestFitNull:
     def test_iid_noise_is_flat_and_insignificant(self):
         res = cclasso_fit(noise_table(), AS_IS)
-        r = res.correlation
+        r = res.weighted
         off = r[~np.eye(8, dtype=bool)]
         assert np.abs(off).mean() < 0.1
         pv = res.pvalues[np.triu_indices(8, k=1)]
@@ -114,7 +114,7 @@ class TestFitNull:
 class TestFitPlanted:
     def test_planted_pair_dominates(self):
         res = cclasso_fit(planted_table(), AS_IS)
-        r = np.abs(res.correlation.copy())
+        r = np.abs(res.weighted.copy())
         np.fill_diagonal(r, 0.0)
         i, j = np.unravel_index(np.argmax(r), r.shape)
         assert {i, j} == {0, 1}
@@ -124,7 +124,7 @@ class TestFitPlanted:
 class TestResultInvariants:
     def test_correlation_is_psd_with_unit_diagonal(self):
         res = cclasso_fit(planted_table(p=5, n=200, seed=4), AS_IS)
-        r = res.correlation
+        r = res.weighted
         np.testing.assert_allclose(np.diag(r), 1.0)
         assert np.linalg.eigvalsh(r).min() >= -1e-8
 
@@ -138,9 +138,9 @@ class TestResultInvariants:
     def test_deterministic_under_seed(self):
         a = cclasso_fit(noise_table(p=5, n=120, seed=2), AS_IS)
         b = cclasso_fit(noise_table(p=5, n=120, seed=2), AS_IS)
-        np.testing.assert_array_equal(a.correlation, b.correlation)
+        np.testing.assert_array_equal(a.weighted, b.weighted)
         np.testing.assert_array_equal(a.pvalues, b.pvalues)
-        assert a.selected_lambda == b.selected_lambda
+        assert a.selection["lambda"] == b.selection["lambda"]
 
 
 class TestParams:
@@ -164,7 +164,7 @@ class TestParams:
         with pytest.raises(TransformError, match="without zeros"):
             cclasso_fit(table, CclassoParams(pseudo=0.0))
         res = cclasso_fit(table)
-        assert res.correlation.shape == (5, 5)
+        assert res.weighted.shape == (5, 5)
 
     def test_negative_pseudo_rejected(self):
         with pytest.raises(TransformError, match="pseudo"):

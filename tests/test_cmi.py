@@ -9,6 +9,7 @@ import pytest
 
 from taxonet.cmi import CmimnParams, cmimn_fit, conditional_mi, gaussian_mi
 from taxonet.errors import EstimatorError
+from taxonet.network import network_from_mask
 
 from conftest import make_table
 
@@ -114,10 +115,15 @@ def chain_plus_noise_table(p=12, n=1000, r=0.8, seed=42):
     return make_table(np.exp(latent) * 50.0)
 
 
+def stage1_network(res):
+    """cmimn's stage-1 network: the pairs whose MI clears the first cut."""
+    return network_from_mask(res.weighted >= res.selection["mi_threshold"], res.taxa)
+
+
 class TestCmimnFit:
     def test_transitive_edge_removed(self):
         res = cmimn_fit(chain_plus_noise_table())
-        stage1 = res.stage1.edge_set()
+        stage1 = stage1_network(res).edge_set()
         final = res.network.edge_set()
         assert (0, 2) in stage1, "transitive pair should clear the MI cut"
         assert (0, 2) not in final
@@ -128,19 +134,19 @@ class TestCmimnFit:
         # is removed
         res = cmimn_fit(chain_plus_noise_table(p=20, seed=1))
         final = res.network.edge_set()
-        assert (0, 2) in res.stage1.edge_set()
+        assert (0, 2) in stage1_network(res).edge_set()
         assert (0, 1) in final
         assert (1, 2) in final
         assert (0, 2) not in final
 
     def test_stage2_is_subset_of_stage1(self):
         res = cmimn_fit(chain_plus_noise_table(seed=7))
-        assert res.network.edge_set() <= res.stage1.edge_set()
+        assert res.network.edge_set() <= stage1_network(res).edge_set()
 
     def test_pruned_edges_all_had_common_neighbors(self):
         res = cmimn_fit(chain_plus_noise_table(seed=9), CmimnParams(q1=0.7, q2=0.7))
-        adj = res.stage1.adj.astype(bool)
-        for i, j in res.stage1.edge_set() - res.network.edge_set():
+        adj = stage1_network(res).adj.astype(bool)
+        for i, j in stage1_network(res).edge_set() - res.network.edge_set():
             shared = np.flatnonzero(adj[i] & adj[j])
             shared = shared[(shared != i) & (shared != j)]
             assert shared.size > 0
@@ -151,14 +157,14 @@ class TestCmimnFit:
         table = make_table(np.exp(rng.standard_normal((n, p))) * 30.0)
         res = cmimn_fit(table)
         n_pairs = p * (p - 1) // 2
-        assert res.stage1.n_edges == math.ceil((1.0 - 0.7) * n_pairs)
+        assert stage1_network(res).n_edges == math.ceil((1.0 - 0.7) * n_pairs)
 
     def test_scale_invariance_of_edge_sets(self):
         table = chain_plus_noise_table(seed=11)
         doubled = make_table(table.values * 2.0)
         a = cmimn_fit(table)
         b = cmimn_fit(doubled)
-        assert a.stage1.edge_set() == b.stage1.edge_set()
+        assert stage1_network(a).edge_set() == stage1_network(b).edge_set()
         assert a.network.edge_set() == b.network.edge_set()
 
     def test_too_few_taxa_rejected(self):

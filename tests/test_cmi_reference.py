@@ -74,11 +74,16 @@ def reference_stages(data: np.ndarray, q1: float, q2: float):
 
 
 def array_stages(data: np.ndarray, q1: float, q2: float):
-    """cmimn_fit with its transform replaced by ``data``."""
+    """cmimn_fit with its transform replaced by ``data``: the reference's five
+    values, the stage-1 adjacency rebuilt as the MI matrix at or above the
+    first cut off the diagonal, then the recorded stage-1 edge count."""
     table = make_table(np.ones(data.shape))
     with mock.patch.object(cmi, "_transformed_values", lambda table, params: data):
         fit = cmimn_fit(table, CmimnParams(q1=q1, q2=q2))
-    return fit.mi, fit.mi_threshold, fit.cmi_threshold, fit.stage1.adj, fit.network.adj
+    sel = fit.selection
+    stage1 = (fit.weighted >= sel["mi_threshold"]) & ~np.eye(data.shape[1], dtype=bool)
+    return (fit.weighted, sel["mi_threshold"], sel["cmi_threshold"],
+            stage1.astype(np.int8), fit.network.adj, sel["stage1_edges"])
 
 
 def assert_same_bits(data: np.ndarray, q1: float, q2: float):
@@ -89,7 +94,8 @@ def assert_same_bits(data: np.ndarray, q1: float, q2: float):
     assert repr(got[2]) == repr(ref[2])
     assert got[3].tobytes() == ref[3].tobytes()
     assert got[4].tobytes() == ref[4].tobytes()
-    return got
+    assert got[5] == int(ref[3].sum()) // 2
+    return got[:5]
 
 
 def gaussian_with_copies(seed: int, n: int, p: int, copies=()) -> np.ndarray:

@@ -325,4 +325,4 @@ class TestOutputInvariants:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_cclasso_returns_a_valid_correlation_matrix(self, seed):
         table = zero_heavy_counts(30, 8, seed)
-        assert_correlation_matrix(cclasso_fit(table, seed=seed).correlation, 8)
+        assert_correlation_matrix(cclasso_fit(table, seed=seed).weighted, 8)
