@@ -9,7 +9,8 @@ projection, so A(X) = F X F is one too, and the quadratic step
 (A + rho I) Sigma = B has the closed form (B - F B F / (1 + rho)) / rho,
 where F X F is double centering.  The penalty is picked by k-fold
 cross-validation with a golden-section search over a fixed interval, and
-edge significance comes from bootstrap refits.
+edge significance comes from bootstrap refits.  ``cclasso_fit`` returns a
+``MethodResult`` whose ``weighted`` is the correlation estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CountTable, clr_transform
+from .data import CountTable, check_pseudo, clr_transform
 from .errors import EstimatorError
 from .network import MethodResult
 
@@ -37,6 +38,15 @@ class CclassoParams:
     lam_int: tuple[float, float] = (1e-4, 1.0)
     k_max: int = 20
     n_boot: int = 20
+
+    def __post_init__(self) -> None:
+        check_pseudo(self.pseudo)
+        if self.k_cv < 2:
+            raise EstimatorError("k_cv must be >= 2")
+        if not 0 < self.lam_int[0] < self.lam_int[1]:
+            raise EstimatorError("lam_int must satisfy 0 < low < high")
+        if self.k_max < 1 or self.n_boot < 1:
+            raise EstimatorError("k_max and n_boot must be >= 1")
 
 
 def _centered(x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import sys
 from .config import ORIENTATIONS, PipelineConfig, build_config, load_config
 from .consensus import threshold_network, threshold_sweep
 from .errors import ConfigError, ConsensusError, TaxonetError
-from .exports import EXPORT_FORMATS, export_graph
+from .exports import EXPORT_FORMATS, export_graph, write_text
 from .pipeline import (
     labeled_matrix_text,
     load_consensus,
@@ -35,7 +35,6 @@ from .pipeline import (
     read_manifest,
     run_pipeline,
     sweep_text,
-    _write_text,
 )
 from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
 
@@ -116,7 +115,7 @@ def _cmd_threshold(args) -> int:
     net = threshold_network(c, args.t)
     degrees = net.adj.sum(axis=0)
     path = os.path.join(out, f"thresholded_t{args.t}.tsv")
-    _write_text(path, labeled_matrix_text(net.taxa, net.adj, "taxon"))
+    write_text(path, labeled_matrix_text(net.taxa, net.adj, "taxon"))
     print(f"t={args.t}: {int((degrees > 0).sum())} connected nodes, "
           f"{net.n_edges} edges -> {path}")
     return 0

@@ -9,6 +9,9 @@ nothing to condition on and pass through unchanged.
 
 Both stages are array expressions on one correlation matrix, through the
 same elementwise MI formula that ``gaussian_mi`` and ``conditional_mi`` use.
+``cmimn_fit`` returns a ``MethodResult``: ``weighted`` is the MI matrix, and
+the stage-1 network is ``weighted >= selection["mi_threshold"]`` off the
+diagonal.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CountTable, clr_transform, mclr_transform
+from .data import CountTable, check_pseudo, clr_transform, mclr_transform
 from .errors import EstimatorError
 from .network import MethodResult, network_from_mask
 
@@ -36,6 +39,7 @@ class CmimnParams:
             raise EstimatorError(
                 f"quantiles must satisfy 0 < q1 <= q2 < 1, got q1={self.q1}, q2={self.q2}"
             )
+        check_pseudo(self.pseudo)
 
 
 def _mi_from_r(r):

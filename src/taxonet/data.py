@@ -9,7 +9,6 @@ taxa array in the table's taxon order, and nothing mutates a table in place.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +46,11 @@ class CountTable:
             raise LoadError("duplicate taxon labels")
         if len(set(self.samples)) != n:
             raise LoadError("duplicate sample labels")
-        if not np.isfinite(v).all():
-            i, j = np.argwhere(~np.isfinite(v))[0]
-            raise LoadError(
-                f"missing or infinite value at row {i + 1}, column {self.taxa[j]!r}"
-            )
-        if (v < 0).any():
-            i, j = np.argwhere(v < 0)[0]
-            raise LoadError(
-                f"negative value at row {i + 1}, column {self.taxa[j]!r}"
-            )
+        for bad, what in ((~np.isfinite(v), "missing or infinite"), (v < 0, "negative")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise LoadError(f"{what} value at sample {self.samples[i]!r}, "
+                                f"taxon {self.taxa[j]!r}")
 
     @property
     def n_samples(self) -> int:
@@ -78,7 +72,10 @@ def load_count_table(path, orientation: str = "samples_in_rows") -> CountTable:
     The file has one header row and one leading label column.  With
     ``orientation="samples_in_rows"`` the header holds taxa labels and the
     leading column holds sample labels; ``"taxa_in_rows"`` is the transpose.
-    The returned table is always samples-in-rows.
+    The returned table is always samples-in-rows.  The loader rejects what
+    only the text shows (empty and non-numeric cells, ragged rows);
+    :class:`CountTable` checks the values and labels, and its error is
+    prefixed with ``path``.
     """
     if orientation not in ("samples_in_rows", "taxa_in_rows"):
         raise LoadError(f"unknown orientation {orientation!r}")
@@ -111,29 +108,18 @@ def load_count_table(path, orientation: str = "samples_in_rows") -> CountTable:
                     f"{path}: missing value at row {i}, column {col_labels[j]!r}"
                 )
             try:
-                value = float(text)
+                data[i - 1, j] = float(text)
             except ValueError:
                 raise LoadError(
                     f"{path}: non-numeric cell {text!r} at row {i}, "
                     f"column {col_labels[j]!r}"
                 ) from None
-            if not math.isfinite(value):
-                raise LoadError(
-                    f"{path}: missing or infinite value at row {i}, "
-                    f"column {col_labels[j]!r}"
-                )
-            if value < 0:
-                raise LoadError(
-                    f"{path}: negative value at row {i}, column {col_labels[j]!r}"
-                )
-            data[i - 1, j] = value
-    if len(set(col_labels)) != len(col_labels):
-        raise LoadError(f"{path}: duplicate labels in header")
-    if len(set(row_labels)) != len(row_labels):
-        raise LoadError(f"{path}: duplicate labels in leading column")
-    if orientation == "taxa_in_rows":
-        return CountTable(values=data.T.copy(), taxa=row_labels, samples=col_labels)
-    return CountTable(values=data, taxa=col_labels, samples=row_labels)
+    try:
+        if orientation == "taxa_in_rows":
+            return CountTable(values=data.T.copy(), taxa=row_labels, samples=col_labels)
+        return CountTable(values=data, taxa=col_labels, samples=row_labels)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
 
 
 def write_count_table(table: CountTable, path, delimiter: str = "\t") -> None:
@@ -163,6 +149,13 @@ def filter_taxa(
     return CountTable(values=v[:, keep].copy(), taxa=taxa, samples=list(table.samples))
 
 
+def check_pseudo(pseudo: float) -> None:
+    """The pseudo-count rule of :func:`clr_transform`, which parameter records
+    also apply when they are built, before any table is read."""
+    if not pseudo >= 0:
+        raise TransformError("pseudo-count must be >= 0")
+
+
 def clr_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
     """Centered log-ratio of a table's rows: add ``pseudo`` to every cell,
     close each row to proportions, and take ln x minus the row mean of
@@ -170,8 +163,7 @@ def clr_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
 
     ``pseudo=0`` is only legal when the table has no zeros.
     """
-    if pseudo < 0:
-        raise TransformError("pseudo-count must be >= 0")
+    check_pseudo(pseudo)
     v = table.values
     if pseudo == 0 and (v == 0).any():
         raise TransformError("pseudo=0 requires a table without zeros")

@@ -21,11 +21,11 @@ from .correlation import (
     safe_correlation,
     tau_bridge,
 )
-from .data import CountTable, clr_transform, mclr_transform
+from .data import CountTable, check_pseudo, clr_transform, mclr_transform
 from .errors import EstimatorError, SolverError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
-from .selection import StarsParams, ebic_choose, ebic_score, lambda_path, stars_select
+from .selection import StarsParams, check_path, ebic_choose, ebic_score, lambda_path, stars_select
 from .solvers import graphical_lasso, graphical_lasso_batch
 
 log = logging.getLogger("taxonet")
@@ -38,6 +38,12 @@ class SpieceasiParams:
     rep_num: int | None = None   # 20 for mb, 50 for glasso when unset
     pseudo: float = 0.5
     rule: Literal["or", "and"] = "or"
+
+    def __post_init__(self) -> None:
+        check_path(self.nlambda, self.lambda_min_ratio)
+        check_pseudo(self.pseudo)
+        if self.rep_num is not None and self.rep_num < 1:
+            raise EstimatorError("rep_num must be >= 1, or none for the default")
 
     def resolved_rep_num(self, mode: str) -> int:
         if self.rep_num is not None:
@@ -52,6 +58,11 @@ class SpringParams:
     lambda_min_ratio: float = 1e-2
     rule: Literal["or", "and"] = "or"
 
+    def __post_init__(self) -> None:
+        check_path(self.nlambda, self.lambda_min_ratio)
+        if self.rep_num < 1:
+            raise EstimatorError("rep_num must be >= 1")
+
 
 @dataclass
 class GcodaParams:
@@ -59,6 +70,12 @@ class GcodaParams:
     lambda_min_ratio: float = 1e-4
     nlambda: int = 15
     ebic_gamma: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_path(self.nlambda, self.lambda_min_ratio)
+        check_pseudo(self.pseudo)
+        if not self.ebic_gamma >= 0:
+            raise EstimatorError("ebic_gamma must be >= 0")
 
 
 def _glasso_adjacency(s: np.ndarray, lam: float) -> tuple[np.ndarray, int]:

@@ -40,7 +40,9 @@ def _as_weighted_edges(obj):
     raise ExportError(f"cannot export object of type {type(obj).__name__}")
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; the one writer of every run file.
+    A failed write is an ``ExportError`` naming the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -102,11 +104,11 @@ def export_graph(obj, fmt: str, path) -> None:
         raise ExportError(f"unknown export format {fmt!r}; choose from {EXPORT_FORMATS}")
     taxa, edges, weighted = _as_weighted_edges(obj)
     if fmt == "graphml":
-        _write_text(path, _graphml(taxa, edges, weighted))
+        write_text(path, _graphml(taxa, edges, weighted))
     elif fmt == "dot":
-        _write_text(path, _dot(taxa, edges, weighted))
+        write_text(path, _dot(taxa, edges, weighted))
     else:
-        _write_text(path, _edgelist(taxa, edges))
+        write_text(path, _edgelist(taxa, edges))
 
 
 def import_edgelist_tsv(path, taxa: list[str]) -> BinaryNetwork:

@@ -50,8 +50,8 @@ from .data import (
     filter_taxa,
     load_count_table,
 )
-from .errors import ConsensusError, FilterError, TaxonetError
-from .exports import export_graph
+from .errors import ConsensusError, ExportError, FilterError, TaxonetError
+from .exports import export_graph, write_text
 from .methods import method_seed, run_method
 from .network import BinaryNetwork, MethodResult
 from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
@@ -186,11 +186,6 @@ def sweep_text(sweep: list[SweepRow]) -> str:
     return "t\tconnected_node_count\tedge_count\n" + "".join(rows)
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def read_labeled_matrix(path):
     """Labels and integer matrix of a file in ``labeled_matrix_text`` form;
     a missing or malformed file is a ``ConsensusError`` naming it."""
@@ -209,7 +204,6 @@ def read_labeled_matrix(path):
 
 def write_artifacts(run: PipelineRun) -> list[str]:
     out = run.out_dir
-    os.makedirs(out, exist_ok=True)
     written: list[str] = []
 
     def record(name: str) -> str:
@@ -218,15 +212,15 @@ def write_artifacts(run: PipelineRun) -> list[str]:
 
     for m in run.succeeded:
         vote = run.runs[m].vote
-        _write_text(record(f"adjacency_{m}.tsv"), labeled_matrix_text(vote.taxa, vote.adj, "taxon"))
+        write_text(record(f"adjacency_{m}.tsv"), labeled_matrix_text(vote.taxa, vote.adj, "taxon"))
 
     c = run.consensus
     if c is not None:
-        _write_text(record("consensus_matrix.tsv"),
+        write_text(record("consensus_matrix.tsv"),
                     labeled_matrix_text(c.taxa, c.weights, "taxon"))
         export_graph(c, "edgelist_tsv", record("edge_list.tsv"))
-        _write_text(record("threshold_sweep.tsv"), sweep_text(run.sweep))
-        _write_text(record("hamming_matrix.tsv"),
+        write_text(record("threshold_sweep.tsv"), sweep_text(run.sweep))
+        write_text(record("hamming_matrix.tsv"),
                     labeled_matrix_text(c.methods, run.hamming, "method"))
         layouts: dict = {}
         panel_paths, _ = render_threshold_panel(
@@ -245,7 +239,7 @@ def write_artifacts(run: PipelineRun) -> list[str]:
             run.hamming, list(c.methods), record("hamming_heatmap.svg")
         )
 
-    _write_text(record("config_echo.txt"), config_to_text(run.config))
+    write_text(record("config_echo.txt"), config_to_text(run.config))
 
     manifest = {
         "seed": run.config.seed,
@@ -270,21 +264,25 @@ def write_artifacts(run: PipelineRun) -> list[str]:
         "config": config_to_text(run.config),
         "artifacts": sorted(written + [MANIFEST_NAME]),
     }
-    with open(os.path.join(out, MANIFEST_NAME), "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(out, MANIFEST_NAME),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written.append(MANIFEST_NAME)
     return written
 
 
 def run_pipeline(cfg: PipelineConfig, table: CountTable | None = None) -> PipelineRun:
-    """Full pipeline; artifacts land in ``cfg.output_dir``.
+    """Full pipeline; artifacts land in ``cfg.output_dir``, which is made
+    before any method runs.
 
     Raises only on configuration/input problems.  Individual method
     failures are recorded in the run and reflected in the CLI exit code,
     not raised, unless fewer than two methods survive.
     """
     table, dropped = prepare_table(cfg, table)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ExportError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     runs = run_methods(cfg, table)
     survivors = [m for m in cfg.methods if runs[m].status == "ok"]
 

@@ -21,7 +21,8 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .consensus import SweepRow, WeightedConsensus, threshold_network, threshold_sweep
-from .errors import ExportError, RenderError
+from .errors import RenderError
+from .exports import write_text
 from .network import BinaryNetwork
 
 LAYOUT_ITERATIONS = 500
@@ -111,14 +112,6 @@ def _svg_open(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def _write(path, lines: list[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
-
-
 def render_network_svg(
     net: BinaryNetwork,
     layout_seed: int,
@@ -144,7 +137,7 @@ def render_network_svg(
             "no edges above threshold</text>"
         )
         lines.append("</svg>")
-        _write(path, lines)
+        write_text(path, "\n".join(lines) + "\n")
         return
     sub = net.adj[np.ix_(keep, keep)]
     pos = _scaled(_layout(sub, layout_seed, layouts))
@@ -168,7 +161,7 @@ def render_network_svg(
             f"{escape(net.taxa[node])}</text>"
         )
     lines.append("</svg>")
-    _write(path, lines)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def render_threshold_panel(
@@ -248,4 +241,4 @@ def render_hamming_heatmap(h: np.ndarray, labels: list[str], path) -> None:
             f"{escape(lab)}</text>"
         )
     lines.append("</svg>")
-    _write(path, lines)
+    write_text(path, "\n".join(lines) + "\n")

@@ -37,6 +37,15 @@ class LambdaPath:
             raise PathError("path must be strictly decreasing with nlambda values")
 
 
+def check_path(nlambda: int, lambda_min_ratio: float) -> None:
+    """The path settings :func:`lambda_path` accepts, which parameter records
+    also apply when they are built, before any table is read."""
+    if nlambda < 1:
+        raise PathError("nlambda must be >= 1")
+    if not 0 < lambda_min_ratio < 1:
+        raise PathError("lambda_min_ratio must lie in (0, 1)")
+
+
 def lambda_path(
     s: np.ndarray,
     nlambda: int = DEFAULT_NLAMBDA,
@@ -49,10 +58,7 @@ def lambda_path(
     lam_max = float(off.max(initial=0.0))
     if lam_max == 0.0:
         raise PathError("all off-diagonal entries are zero; no path exists")
-    if nlambda < 1:
-        raise PathError("nlambda must be >= 1")
-    if not 0 < lambda_min_ratio < 1:
-        raise PathError("lambda_min_ratio must lie in (0, 1)")
+    check_path(nlambda, lambda_min_ratio)
     if nlambda == 1:
         values = np.array([lam_max])
     else:

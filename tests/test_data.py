@@ -42,8 +42,15 @@ class TestLoad:
     def test_negative_cell_names_coordinates(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("s,OTU6,OTU7\nr1,1,2\nr2,3,-4\n")
-        with pytest.raises(LoadError, match=r"row 2.*'OTU7'"):
+        with pytest.raises(LoadError, match=r"sample 'r2', taxon 'OTU7'"):
             load_count_table(path)
+
+    def test_negative_cell_in_taxa_in_rows_names_its_sample_and_taxon(self, tmp_path):
+        path = tmp_path / "neg_t.csv"
+        path.write_text("taxon,r1,r2\nOTU6,1,2\nOTU7,3,-4\n")
+        with pytest.raises(LoadError, match=r"neg_t\.csv: negative value at sample 'r2', "
+                                            r"taxon 'OTU7'"):
+            load_count_table(path, orientation="taxa_in_rows")
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "txt.csv"
@@ -61,7 +68,7 @@ class TestLoad:
     def test_non_finite_cell_names_coordinates(self, tmp_path, cell):
         path = tmp_path / "inf.csv"
         path.write_text(f"s,a,b\nr1,1,2\nr2,3,{cell}\n")
-        with pytest.raises(LoadError, match=r"infinite value at row 2, column 'b'"):
+        with pytest.raises(LoadError, match=r"infinite value at sample 'r2', taxon 'b'"):
             load_count_table(path)
 
     def test_ragged_row(self, tmp_path):
@@ -117,7 +124,7 @@ class TestCountTable:
             )
 
     def test_infinite_rejected_with_coordinates(self):
-        with pytest.raises(LoadError, match=r"infinite value at row 2, column 'a'"):
+        with pytest.raises(LoadError, match=r"infinite value at sample 'q', taxon 'a'"):
             CountTable(
                 values=np.array([[1.0, 2.0], [np.inf, 1.0]]),
                 taxa=["a", "b"],
@@ -125,7 +132,7 @@ class TestCountTable:
             )
 
     def test_negative_rejected_with_coordinates(self):
-        with pytest.raises(LoadError, match=r"row 2, column 'b'"):
+        with pytest.raises(LoadError, match=r"sample 'q', taxon 'b'"):
             CountTable(
                 values=np.array([[1.0, 2.0], [3.0, -1.0]]),
                 taxa=["a", "b"],

@@ -345,6 +345,56 @@ class TestCli:
         assert "filter.min_prevalence must be a number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cclasso.k_cv", "0"),
+            ("cclasso.k_cv", "1"),
+            ("cclasso.lam_int", "0,1"),
+            ("cclasso.lam_int", "1,0.1"),
+            ("cclasso.k_max", "0"),
+            ("cclasso.n_boot", "0"),
+            ("cclasso.pseudo", "-1"),
+            ("spieceasi_mb.rep_num", "0"),
+            ("spieceasi_mb.nlambda", "0"),
+            ("spieceasi_mb.lambda_min_ratio", "2"),
+            ("spieceasi_glasso.lambda_min_ratio", "0"),
+            ("spring.rep_num", "0"),
+            ("spring.nlambda", "0"),
+            ("gcoda.nlambda", "0"),
+            ("gcoda.pseudo", "-1"),
+            ("gcoda.ebic_gamma", "-1"),
+            ("cmimn.pseudo", "-0.5"),
+        ],
+    )
+    def test_out_of_range_method_parameter_exits_2_before_the_table_is_read(
+        self, tmp_path, capsys, key, value
+    ):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {tmp_path / 'missing.tsv'}\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}: " in err
+        assert "cannot read count table" not in err
+        assert not out.exists()
+
+    def test_out_path_that_is_a_file_exits_2_before_any_method_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr("taxonet.pipeline.run_method", lambda *a, **k: calls.append(a))
+        counts = tmp_path / "counts.tsv"
+        write_counts_tsv(counts, small_counts())
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(["run", "--input", str(counts), "--methods", FAST_METHODS,
+                     "--out", str(taken)])
+        assert code == 2
+        assert f"cannot create output directory {taken}" in capsys.readouterr().err
+        assert calls == []
+        assert taken.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("path", ["", "missing.tsv"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, path):
         out = tmp_path / "o"
@@ -369,7 +419,7 @@ class TestCli:
         self.counts_with_cells(counts, {2: "inf"})
         out = tmp_path / "o"
         assert main(["run", "--input", str(counts), "--out", str(out)]) == 2
-        assert "infinite value at row 3, column 'T01'" in capsys.readouterr().err
+        assert "infinite value at sample 's002', taxon 'T01'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_row_exits_2(self, tmp_path, capsys):
