@@ -21,6 +21,7 @@ derive from the master ``seed``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Literal, get_args, get_origin, get_type_hints
 
@@ -62,8 +63,8 @@ class PipelineConfig:
             raise ConfigError("jobs must be at least 1")
         if not (0.0 <= self.min_prevalence <= 1.0):
             raise ConfigError("filter.min_prevalence must lie in [0, 1]")
-        if self.min_total < 0:
-            raise ConfigError("filter.min_total must be nonnegative")
+        if not 0 <= self.min_total < math.inf:
+            raise ConfigError("filter.min_total must be finite and nonnegative")
         for m in self.method_params:
             if m not in METHOD_ORDER:
                 raise ConfigError(f"parameters given for unknown method {m!r}")

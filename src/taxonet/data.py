@@ -152,8 +152,8 @@ def filter_taxa(
 def check_pseudo(pseudo: float) -> None:
     """The pseudo-count rule of :func:`clr_transform`, which parameter records
     also apply when they are built, before any table is read."""
-    if not pseudo >= 0:
-        raise TransformError("pseudo-count must be >= 0")
+    if not 0 <= pseudo < np.inf:
+        raise TransformError("pseudo-count must be finite and >= 0")
 
 
 def clr_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import EstimatorError, SolverError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
 from .selection import StarsParams, check_path, ebic_choose, ebic_score, lambda_path, stars_select
-from .solvers import graphical_lasso, graphical_lasso_batch
+from .solvers import graphical_lasso, graphical_lasso_batch, graphical_lasso_support
 
 log = logging.getLogger("taxonet")
 
@@ -74,8 +74,8 @@ class GcodaParams:
     def __post_init__(self) -> None:
         check_path(self.nlambda, self.lambda_min_ratio)
         check_pseudo(self.pseudo)
-        if not self.ebic_gamma >= 0:
-            raise EstimatorError("ebic_gamma must be >= 0")
+        if not 0 <= self.ebic_gamma < np.inf:
+            raise EstimatorError("ebic_gamma must be finite and >= 0")
 
 
 def _glasso_adjacency(s: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
@@ -241,26 +241,27 @@ def _gcoda_surrogate(s, omega):
 
 
 def _gcoda_solve(s, lam, omega0=None):
-    """Majorize-minimize: each round solves a graphical lasso on the
-    linearized surrogate.  ``lam`` may be a penalty matrix (used for
-    support-constrained refits).  Returns (omega, converged); converged is
-    false when the rounds or any graphical-lasso fit in them hit their
+    """Majorize-minimize: each round fits a precision to the linearized
+    surrogate.  ``lam`` is a graphical-lasso penalty, or a boolean support
+    mask for an unpenalized refit held to that support, whose rounds are
+    exact :func:`graphical_lasso_support` fits.  Returns (omega, converged);
+    converged is false when the rounds or any fit in them hit their
     iteration limit."""
     omega = np.diag(1.0 / np.diag(s)) if omega0 is None else omega0
-
-    lam_arr = np.asarray(lam, dtype=float)
+    refit = np.ndim(lam) > 0
+    pen = 0.0 if refit else lam
 
     def objective(om):
         a = np.abs(om)
         np.fill_diagonal(a, 0.0)
-        pen = float((np.where(a > 0.0, lam_arr, 0.0) * a).sum())
-        return _profiled_neg2loglik(s, om) + pen
+        return _profiled_neg2loglik(s, om) + float((np.where(a > 0.0, pen, 0.0) * a).sum())
 
     prev = objective(omega)
     converged = False
     inner_converged = True
     for _ in range(GCODA_MM_MAX_ITER):
-        est = graphical_lasso(_gcoda_surrogate(s, omega), lam)
+        surrogate = _gcoda_surrogate(s, omega)
+        est = graphical_lasso_support(surrogate, lam) if refit else graphical_lasso(surrogate, lam)
         omega = est.omega
         inner_converged = inner_converged and est.converged
         cur = objective(omega)
@@ -277,11 +278,14 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
 
     The closure-degenerate likelihood is profiled exactly and optimized by
     repeated graphical-lasso solves on a linearized surrogate.  Each
-    candidate support is scored at its own constrained maximum likelihood
-    (penalty-free refit on the support), so the EBIC compares models, not
-    shrunken fits.  A penalty whose support refit loses positive
-    definiteness, as with p > n, is unscorable and never chosen; when the
-    penalized fit itself fails, that penalty and every denser one are.
+    candidate support is scored at its own constrained maximum likelihood,
+    so the EBIC compares models, not shrunken fits: the refit runs the same
+    rounds with an exact penalty-free fit held to the support
+    (:func:`graphical_lasso_support`, ESL Algorithm 17.1) in place of the
+    graphical lasso.  A penalty whose support refit meets a singular
+    neighbour block or loses positive definiteness, as with p > n, is
+    unscorable and never chosen; when the penalized fit itself fails, that
+    penalty and every denser one are.
     ``pseudo`` is added before closure; relative abundances without zeros
     can be fed as they are with ``pseudo=0``.
     """
@@ -294,8 +298,8 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     eye = np.eye(p, dtype=bool)
     rows = []
     masks = []
-    # the refit starts cold from a penalty built from the support alone, so
-    # one refit per distinct support serves every penalty that gives it
+    # the refit starts cold from the support alone, so one refit per
+    # distinct support serves every penalty that gives it
     refits: dict[bytes, tuple[float | None, bool]] = {}
     unconverged = []
     omega = None
@@ -312,10 +316,8 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
         n_edges = int(mask.sum()) // 2
         key = mask.tobytes()
         if key not in refits:
-            refit_lam = np.where(mask, 0.0, np.inf)
-            np.fill_diagonal(refit_lam, 0.0)
             try:
-                omega_r, ok_r = _gcoda_solve(s, refit_lam)
+                omega_r, ok_r = _gcoda_solve(s, mask)
                 refits[key] = (float(-(n / 2.0) * _profiled_neg2loglik(s, omega_r)), ok_r)
             except SolverError:
                 # with p > n the unpenalized likelihood on a support can be
@@ -331,11 +333,13 @@ def gcoda_fit(table: CountTable, params: GcodaParams | None = None) -> MethodRes
     scored = [k for k, row in enumerate(rows) if row[1] is not None]
     if not scored:
         raise EstimatorError(
-            "gcoda: no penalty could be scored; every fit lost positive definiteness"
+            "gcoda: no penalty could be scored; every fit lost positive definiteness "
+            "or met a singular block"
         )
     if unscorable:
         log.warning("gcoda: %d of %d penalties could not be scored (a fit lost positive "
-                    "definiteness); EBIC chooses among the rest", len(unscorable), len(lams))
+                    "definiteness or met a singular block); EBIC chooses among the rest",
+                    len(unscorable), len(lams))
     sel = scored[ebic_choose(np.array([rows[k] for k in scored]))]
     return MethodResult(
         method="gcoda",

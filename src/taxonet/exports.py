@@ -8,7 +8,7 @@ the adjacency bit for bit.
 from __future__ import annotations
 
 import csv
-from xml.sax.saxutils import escape, quoteattr
+from html import escape
 
 import numpy as np
 
@@ -50,6 +50,18 @@ def write_text(path, text: str) -> None:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
 
+def _quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an XML attribute value, the bytes that
+    ``xml.sax.saxutils.quoteattr`` gives without importing it."""
+    text = escape(text, quote=False)
+    text = text.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _graphml(taxa, edges, weighted: bool) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -62,13 +74,13 @@ def _graphml(taxa, edges, weighted: bool) -> str:
         '  <graph id="G" edgedefault="undirected">',
     ]
     for t in taxa:
-        lines.append(f"    <node id={quoteattr(t)}/>")
+        lines.append(f"    <node id={_quoteattr(t)}/>")
     for i, j, w, methods in edges:
-        lines.append(f"    <edge source={quoteattr(taxa[i])} target={quoteattr(taxa[j])}>")
+        lines.append(f"    <edge source={_quoteattr(taxa[i])} target={_quoteattr(taxa[j])}>")
         if weighted:
             lines.append(f'      <data key="w">{w}</data>')
         if methods:
-            lines.append(f'      <data key="m">{escape(methods)}</data>')
+            lines.append(f'      <data key="m">{escape(methods, quote=False)}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")

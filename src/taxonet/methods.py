@@ -17,7 +17,7 @@ from .cclasso import CclassoParams, cclasso_fit
 from .cmi import CmimnParams, cmimn_fit
 from .consensus import BinarizationRule
 from .correlation import correlation_matrix
-from .data import CountTable, clr_transform, log_transform, mclr_transform
+from .data import CountTable, check_pseudo, clr_transform, log_transform, mclr_transform
 from .errors import EstimatorError
 from .estimators import (
     GcodaParams,
@@ -51,6 +51,10 @@ class CorrelationParams:
 
     transform: Literal["clr", "log", "mclr", "raw"] = "clr"
     pseudo: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.transform in ("clr", "log"):   # mclr and raw add no pseudo-count
+            check_pseudo(self.pseudo)
 
 
 CORRELATION_TRANSFORMS = get_args(get_type_hints(CorrelationParams)["transform"])

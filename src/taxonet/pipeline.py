@@ -27,7 +27,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +145,12 @@ def run_methods(cfg: PipelineConfig, table: CountTable) -> dict[str, MethodRun]:
         )
         jobs.append((m, table, cfg.params_for(m), runs[m].seed))
 
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    pool = None
+    if cfg.jobs > 1:
+        # imported here so that a serial run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=cfg.jobs)
     with pool or contextlib.nullcontext():
         futures = {}
         if pool is not None:

@@ -16,7 +16,7 @@ same edges.  The dict lives only as long as the call that made it.
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def _svg_open(width: int, height: int, title: str) -> list[str]:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{MARGIN}" y="24" font-family="sans-serif" font-size="14" '
-        f'fill="#333333">{escape(title)}</text>',
+        f'fill="#333333">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -158,7 +158,7 @@ def render_network_svg(
         lines.append(
             f'<text x="{x:.2f}" y="{y - 10:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" fill="#222222">'
-            f"{escape(net.taxa[node])}</text>"
+            f"{escape(net.taxa[node], quote=False)}</text>"
         )
     lines.append("</svg>")
     write_text(path, "\n".join(lines) + "\n")
@@ -232,13 +232,13 @@ def render_hamming_heatmap(h: np.ndarray, labels: list[str], path) -> None:
         y = top + i * cell + cell // 2 + 4
         lines.append(
             f'<text x="{left - 8}" y="{y}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{escape(lab)}</text>'
+            f'font-size="11" fill="#222222">{escape(lab, quote=False)}</text>'
         )
         x = left + i * cell + cell // 2
         lines.append(
             f'<text x="{x}" y="{top - 8}" text-anchor="start" font-family="sans-serif" '
             f'font-size="11" fill="#222222" transform="rotate(-60 {x} {top - 8})">'
-            f"{escape(lab)}</text>"
+            f"{escape(lab, quote=False)}</text>"
         )
     lines.append("</svg>")
     write_text(path, "\n".join(lines) + "\n")

@@ -5,9 +5,11 @@ covariance block V and a target vector b), which lets the same routine
 serve the graphical-lasso inner problem and neighborhood selection driven
 by a correlation matrix alone.  Its batched twin solves many independent
 problems side by side with the same arithmetic, which keeps plain numpy
-fast without a JIT.  One graphical-lasso solver runs every fit on a stack
-of problems and picks the kernel by the stack's size: the scalar kernel
-for a stack of one, the batched kernel for more.
+fast without a JIT.  One graphical-lasso solver runs every fit, one scalar
+penalty per problem, on a stack of problems and picks the kernel by the
+stack's size: the scalar kernel for a stack of one, the batched kernel for
+more.  A fit held to a known support has no penalty and needs no lasso:
+:func:`graphical_lasso_support` solves each column exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ LASSO_TOL = 1e-6
 LASSO_MAX_SWEEPS = 1000
 # inner solves must be tighter than the outer covariance tolerance
 GLASSO_INNER_TOL = 1e-9
+# a node's variance given its neighbours below this share of its own
+# variance means a singular block in a support-constrained fit
+SUPPORT_RTOL = 1e-10
 # largest number of float64 entries one working array of a batched
 # graphical-lasso solve may hold; bigger batches are solved in slices
 BATCH_MAX_ENTRIES = 1 << 19
@@ -179,30 +184,29 @@ def _assemble_precision(w, betas):
 
 def graphical_lasso(
     s: np.ndarray,
-    lam,
+    lam: float,
     tol: float = GLASSO_TOL,
     max_iter: int = GLASSO_MAX_ITER,
 ) -> PrecisionEstimate:
     """L1-penalized precision estimation by blockwise coordinate descent.
 
-    Maximizes log det(omega) - tr(S omega) - sum_{i!=j} lam_ij |omega_ij|
-    with an unpenalized diagonal.  ``lam`` is a scalar or a symmetric
-    matrix of pairwise penalties (infinite entries force structural
-    zeros).  Convergence is declared when the largest elementwise change
-    of the working covariance in a sweep drops below ``tol``; a
-    non-converged fit is returned flagged, not raised.  This is
+    Maximizes log det(omega) - tr(S omega) - lam sum_{i!=j} |omega_ij|
+    with an unpenalized diagonal.  Convergence is declared when the
+    largest elementwise change of the working covariance in a sweep drops
+    below ``tol`` and no inner lasso solve stopped at ``LASSO_MAX_SWEEPS``;
+    a non-converged fit is returned flagged, not raised.  This is
     :func:`graphical_lasso_batch` on a stack of one.
     """
     omega, converged, n_iter = graphical_lasso_batch(
-        np.asarray(s, dtype=float)[None], np.asarray(lam, dtype=float)[None], tol, max_iter
+        np.asarray(s, dtype=float)[None], [lam], tol, max_iter
     )
     return PrecisionEstimate(omega[0], bool(converged[0]), int(n_iter[0]))
 
 
-def _glasso_batch_slice(s, pen, tol, max_iter, alone, omega, converged, n_iter):
+def _glasso_batch_slice(s, lam, tol, max_iter, alone, omega, converged, n_iter):
     """Solve one slice of :func:`graphical_lasso_batch` into the given
-    output views.  ``pen`` is the slice's (n, p, p) penalty stack;
-    ``alone`` says that the slice is the call's only problem."""
+    output views.  ``lam`` holds the slice's penalties; ``alone`` says
+    that the slice is the call's only problem."""
     n, p = s.shape[:2]
     asym = s - np.swapaxes(s, 1, 2)
     if np.abs(asym, out=asym).max(initial=0) > 1e-8:
@@ -212,6 +216,9 @@ def _glasso_batch_slice(s, pen, tol, max_iter, alone, omega, converged, n_iter):
     live = np.arange(n)
     w = s.copy()
     betas = np.zeros((n, p, p - 1))
+    pen = np.repeat(lam[:, None], p - 1, axis=1)
+    # problems with an inner solve that stopped at its sweep limit
+    capped = np.zeros(n, dtype=bool)
     for it in range(max_iter):
         n_iter[live] = it + 1
         max_change = np.zeros(len(live))
@@ -221,24 +228,25 @@ def _glasso_batch_slice(s, pen, tol, max_iter, alone, omega, converged, n_iter):
             beta = betas[:, j]
             b = s[:, rest, j][live]
             if alone:
-                _cd_gram(v[0], b[0], beta[0], pen[0, rest, j], GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
+                sweeps = _cd_gram(v[0], b[0], beta[0], pen[0], GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
                 w12 = (v[0] @ beta[0])[None]
             else:
-                _cd_gram_batch(v, b, beta, pen[:, rest, j], GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
+                sweeps = _cd_gram_batch(v, b, beta, pen, GLASSO_INNER_TOL, LASSO_MAX_SWEEPS)
                 w12 = np.matmul(v, beta[:, :, None])[:, :, 0]
+            capped |= sweeps >= LASSO_MAX_SWEEPS
             change = np.abs(w12 - w[:, rest, j]).max(axis=1, initial=0.0)
             np.maximum(max_change, change, out=max_change)
             w[:, rest, j] = w12
             w[:, j, rest] = w12
         _precision_diagonal(w, betas)
         done = max_change < tol
-        converged[live[done]] = True
+        converged[live[done & ~capped]] = True
         if it == max_iter - 1:
             done[:] = True
         if done.any():
             omega[live[done]] = _assemble_precision(w[done], betas[done])
             keep = ~done
-            live, w, betas, pen = live[keep], w[keep], betas[keep], pen[keep]
+            live, w, betas, pen, capped = live[keep], w[keep], betas[keep], pen[keep], capped[keep]
             if not len(live):
                 break
 
@@ -251,30 +259,22 @@ def graphical_lasso_batch(
 ):
     """:func:`graphical_lasso` over a stack of independent problems.
 
-    ``s`` is a (B, p, p) stack of covariances; ``lam`` holds one penalty per
-    problem, a scalar or a symmetric (p, p) matrix whose infinite entries
-    force zeros.  Every problem starts cold and stops at its own
-    convergence.  A stack of one goes through the scalar kernel, the faster
-    one for a single problem; a larger stack goes through the batched
-    kernel until its last problem stops.  Returns the (B, p, p) precision
-    stack, the per-problem ``converged`` flags and the outer sweep counts.
+    ``s`` is a (B, p, p) stack of covariances and ``lam`` holds B
+    penalties, one per problem.  Every problem starts cold and stops at
+    its own convergence.  A stack of one goes through the scalar kernel,
+    the faster one for a single problem; a larger stack goes through the
+    batched kernel until its last problem stops.  Returns the (B, p, p)
+    precision stack, the per-problem ``converged`` flags and the outer
+    sweep counts.
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise SolverError("input matrices must be square and symmetric")
     n, p = s.shape[:2]
-    if lam.shape == (n,):
-        lam = np.broadcast_to(lam[:, None, None], (n, p, p))
-    if lam.shape != (n, p, p):
-        raise SolverError("need one penalty, a scalar or a p x p matrix, per problem")
-    finite = np.isfinite(lam)
-    both = finite & np.swapaxes(finite, 1, 2)
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(lam - np.swapaxes(lam, 1, 2))
-    if (finite != both).any() or np.where(both, diff, 0.0).max(initial=0.0) > 1e-8:
-        raise SolverError("penalty matrices must be symmetric")
-    if (lam < 0).any():
+    if lam.shape != (n,):
+        raise SolverError("need one penalty per problem")
+    if not (lam >= 0).all():
         raise SolverError("penalty must be nonnegative")
     omega = np.empty((n, p, p))
     converged = np.zeros(n, dtype=bool)
@@ -286,3 +286,53 @@ def graphical_lasso_batch(
             s[part], lam[part], tol, max_iter, n == 1, omega[part], converged[part], n_iter[part]
         )
     return omega, converged, n_iter
+
+
+def graphical_lasso_support(
+    s: np.ndarray,
+    support: np.ndarray,
+    tol: float = GLASSO_TOL,
+    max_iter: int = GLASSO_MAX_ITER,
+) -> PrecisionEstimate:
+    """Maximum-likelihood precision with known zeros: ESL Algorithm 17.1
+    (Hastie, Tibshirani & Friedman, *The Elements of Statistical
+    Learning*, 2nd ed., section 17.3.1).
+
+    Maximizes log det(omega) - tr(S omega) subject to omega_ij = 0 wherever
+    the symmetric boolean ``support`` is false off the diagonal.  The outer
+    column loop, convergence test and positive-definiteness check are
+    :func:`graphical_lasso`'s, but each column's inner problem is an
+    unpenalized regression on the node's neighbours, solved exactly by one
+    linear solve on their block of the working covariance.  A singular
+    block, as with p > n, raises :class:`SolverError`.
+    """
+    s = np.asarray(s, dtype=float)
+    p = s.shape[0]
+    idx = np.arange(p)
+    w = s.copy()
+    betas = np.zeros((1, p, p - 1))
+    converged = False
+    for it in range(max_iter):
+        max_change = 0.0
+        for j in range(p):
+            rest = idx[idx != j]
+            on = support[rest, j]   # which of the other nodes are neighbours
+            nb = rest[on]
+            try:
+                coef = np.linalg.solve(w[nb[:, None], nb], s[nb, j])
+            except np.linalg.LinAlgError:
+                coef = None
+            # node j's variance given its neighbours; when their block with j
+            # is singular, what is left of it is rounding noise
+            if coef is None or not w[j, j] - s[nb, j] @ coef > SUPPORT_RTOL * w[j, j]:
+                raise SolverError("singular neighbour block in the working covariance")
+            betas[0, j, on] = coef
+            w12 = w[rest[:, None], nb] @ coef
+            max_change = max(max_change, np.abs(w12 - w[rest, j]).max(initial=0.0))
+            w[rest, j] = w12
+            w[j, rest] = w12
+        _precision_diagonal(w[None], betas)
+        if max_change < tol:
+            converged = True
+            break
+    return PrecisionEstimate(_assemble_precision(w[None], betas)[0], converged, it + 1)

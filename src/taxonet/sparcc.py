@@ -31,8 +31,8 @@ class SparccParams:
             raise EstimatorError("imax must be >= 1 and kmax >= 0")
         if not 0 < self.alpha < 1:
             raise EstimatorError("alpha must lie in (0, 1)")
-        if self.vmin <= 0:
-            raise EstimatorError("vmin must be positive")
+        if not 0 < self.vmin < np.inf:
+            raise EstimatorError("vmin must be positive and finite")
 
 
 def log_ratio_variance(fractions: np.ndarray) -> np.ndarray:

@@ -170,6 +170,21 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="nonnegative"):
             build_config({"seed": "-1"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_min_total_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="filter.min_total must be finite"):
+            build_config({"filter.min_total": value})
+
+    @pytest.mark.parametrize("transform", ["clr", "log"])
+    def test_correlation_pseudo_is_checked_when_the_transform_uses_it(self, transform):
+        with pytest.raises(ConfigError, match="pearson.pseudo: pseudo-count must be finite"):
+            build_config({"pearson.transform": transform, "pearson.pseudo": "nan"})
+
+    @pytest.mark.parametrize("transform", ["mclr", "raw"])
+    def test_correlation_pseudo_is_ignored_when_the_transform_adds_none(self, transform):
+        cfg = build_config({"spearman.transform": transform, "spearman.pseudo": "-1"})
+        assert cfg.params_for("spearman").pseudo == -1.0
+
     def test_orientation_validated(self):
         with pytest.raises(ConfigError, match="orientation"):
             build_config({"orientation": "sideways"})

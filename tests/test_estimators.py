@@ -189,6 +189,19 @@ class TestStarsEarlyStop:
         assert 0 < fit.selection["unconverged_fits"] <= per_fit * (rep_num * evaluated + 1)
 
 
+def test_inner_solves_at_their_sweep_limit_are_recorded(monkeypatch):
+    # a graphical-lasso fit whose inner lasso stopped at LASSO_MAX_SWEEPS is
+    # not converged, and both methods that run such fits record it
+    table = chain_count_table(p=6, n=120, seed=4)
+    gcoda_params = GcodaParams(nlambda=6)
+    glasso_params = SpieceasiParams(rep_num=5)
+    assert gcoda_fit(table, gcoda_params).selection["unconverged"] == []
+    assert spieceasi_fit(table, "glasso", glasso_params).selection["unconverged_fits"] == 0
+    monkeypatch.setattr(solvers, "LASSO_MAX_SWEEPS", 2)
+    assert gcoda_fit(table, gcoda_params).selection["unconverged"] == list(range(6))
+    assert spieceasi_fit(table, "glasso", glasso_params).selection["unconverged_fits"] > 0
+
+
 class TestGcoda:
     def test_defaults(self):
         params = GcodaParams()
@@ -229,7 +242,7 @@ class TestGcoda:
             if np.ndim(lam) == 0:
                 path_omegas.append(omega)
             else:
-                refits.append(np.isfinite(lam).tobytes())
+                refits.append(lam.tobytes())
             return omega, ok
 
         monkeypatch.setattr(estimators, "_gcoda_solve", recording)
@@ -244,13 +257,11 @@ class TestGcoda:
         for lam, omega in zip(fit.selection["ebic"], path_omegas):
             mask = (omega != 0) & ~eye
             mask = mask | mask.T
-            refit_lam = np.where(mask, 0.0, np.inf)
-            np.fill_diagonal(refit_lam, 0.0)
-            omega_r, _ = solve(s, refit_lam)
+            omega_r, _ = solve(s, mask)
             loglik = -(n / 2.0) * estimators._profiled_neg2loglik(s, omega_r)
             n_edges = int(mask.sum()) // 2
             rows.append([lam[0], ebic_score(loglik, n_edges, n, p, params.ebic_gamma), n_edges])
-            supports.append(np.isfinite(refit_lam).tobytes())
+            supports.append(mask.tobytes())
         assert fit.selection["ebic"] == rows
         assert sorted(refits) == sorted(set(supports))
         assert len(refits) < len(supports)
@@ -337,7 +348,7 @@ class TestGcoda:
 
         def full_refit_unconverged(s, lam, omega0=None):
             omega, ok = solve(s, lam, omega0=omega0)
-            if np.ndim(lam) and not np.isinf(lam).any():
+            if np.ndim(lam) and lam.sum() == lam.size - len(lam):   # the full support
                 return omega, False
             return omega, ok
 

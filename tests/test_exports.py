@@ -1,13 +1,16 @@
 """Serialization round trips: GraphML through a standard reader, DOT text,
 and the edge-list import/export pair."""
 
+from html import escape
+from xml.sax import saxutils
+
 import numpy as np
 import networkx as nx
 import pytest
 
 from taxonet.consensus import build_consensus
 from taxonet.errors import ExportError
-from taxonet.exports import EXPORT_FORMATS, export_graph, import_edgelist_tsv
+from taxonet.exports import EXPORT_FORMATS, _quoteattr, export_graph, import_edgelist_tsv
 from taxonet.network import BinaryNetwork
 
 
@@ -66,6 +69,18 @@ class TestGraphml:
         export_graph(net, "graphml", path)
         g = nx.read_graphml(path)
         assert set(g.nodes) == set(taxa)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "plain", "a&b<c>d", 'say "hi"', "it's", "both \"'\" quotes", "tab\there",
+     "line\nbreak\r\nend", "&amp; already", "<&>\"'\t\n\r", "\u00b5-taxon & <sp.>"],
+)
+def test_escaping_gives_the_bytes_of_saxutils(text):
+    # the writers escape without importing xml.sax.saxutils, whose import
+    # pulls in urllib.request, http.client and email
+    assert escape(text, quote=False) == saxutils.escape(text)
+    assert _quoteattr(text) == saxutils.quoteattr(text)
 
 
 class TestDot:

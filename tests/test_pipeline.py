@@ -8,6 +8,8 @@ fast; the all-methods run lives in the acceptance suite.
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,6 +282,17 @@ class TestPrepareTable:
         assert kept.taxa == ["T00", "T01", "T03", "T04", "T06", "T07"]
 
 
+def test_importing_the_cli_leaves_out_the_pool_and_the_web_modules():
+    # a serial run never needs the process pool, and escaping needs no urllib
+    code = ("import sys, taxonet.cli; print(sorted(m for m in ('concurrent.futures.process', "
+            "'urllib.request', 'http.client', 'email', 'xml.sax') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCli:
     def test_run_verb_full_cycle(self, tmp_path, capsys):
         counts = tmp_path / "counts.tsv"
@@ -365,6 +378,16 @@ class TestCli:
             ("gcoda.pseudo", "-1"),
             ("gcoda.ebic_gamma", "-1"),
             ("cmimn.pseudo", "-0.5"),
+            # non-finite values
+            ("gcoda.pseudo", "inf"),
+            ("spieceasi_glasso.pseudo", "inf"),
+            ("cmimn.pseudo", "inf"),
+            ("pearson.pseudo", "inf"),
+            ("spearman.pseudo", "nan"),
+            ("bicor.pseudo", "-1"),
+            ("sparcc.vmin", "nan"),
+            ("sparcc.vmin", "inf"),
+            ("gcoda.ebic_gamma", "inf"),
         ],
     )
     def test_out_of_range_method_parameter_exits_2_before_the_table_is_read(
