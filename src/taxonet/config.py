@@ -181,7 +181,7 @@ def build_config(raw: dict[str, str]) -> PipelineConfig:
     """Validate and type a raw key->value mapping into a PipelineConfig."""
     hints = get_type_hints(PipelineConfig)
     kwargs: dict[str, Any] = {}
-    method_params: dict[str, Any] = {}
+    method_values: dict[str, dict[str, Any]] = {}
     rules: dict[str, BinarizationRule] = {}
     for key, value in raw.items():
         section, _, name = key.partition(".")
@@ -197,21 +197,37 @@ def build_config(raw: dict[str, str]) -> PipelineConfig:
             except TaxonetError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
         elif section in METHOD_ORDER and name:
-            params = method_params.get(section) or default_params(section)
-            types = get_type_hints(type(params))
+            types = get_type_hints(type(default_params(section)))
             if name not in types:
                 raise ConfigError(
                     f"{key!r}: {section} has no parameter {name!r} "
                     f"(known: {', '.join(sorted(types))})"
                 )
-            typed = _typed(value, types[name], key)
-            try:
-                method_params[section] = replace(params, **{name: typed})
-            except TaxonetError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+            method_values.setdefault(section, {})[name] = _typed(value, types[name], key)
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
+    # each record is built once from all of its keys, so a check that reads
+    # two fields does not depend on the order in which they were given
+    method_params = {}
+    for section, values in method_values.items():
+        try:
+            method_params[section] = replace(default_params(section), **values)
+        except TaxonetError as exc:
+            raise ConfigError(f"{_failing_key(section, values)}: {exc}") from exc
     return PipelineConfig(method_params=method_params, rules=rules, **kwargs)
+
+
+def _failing_key(section: str, values: dict[str, Any]) -> str:
+    """The key of the value a method's record rejected: the first one
+    without which its other values are accepted, or the method's name when
+    no single value is at fault."""
+    for name in values:
+        try:
+            replace(default_params(section), **{k: v for k, v in values.items() if k != name})
+        except TaxonetError:
+            continue
+        return f"{section}.{name}"
+    return section
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> PipelineConfig:

@@ -249,12 +249,13 @@ def _gcoda_solve(s, lam, omega0=None):
     iteration limit."""
     omega = np.diag(1.0 / np.diag(s)) if omega0 is None else omega0
     refit = np.ndim(lam) > 0
-    pen = 0.0 if refit else lam
 
     def objective(om):
+        if refit:
+            return _profiled_neg2loglik(s, om)
         a = np.abs(om)
         np.fill_diagonal(a, 0.0)
-        return _profiled_neg2loglik(s, om) + float((np.where(a > 0.0, pen, 0.0) * a).sum())
+        return _profiled_neg2loglik(s, om) + float((lam * a).sum())
 
     prev = objective(omega)
     converged = False

@@ -193,7 +193,7 @@ def graphical_lasso(
     Maximizes log det(omega) - tr(S omega) - lam sum_{i!=j} |omega_ij|
     with an unpenalized diagonal.  Convergence is declared when the
     largest elementwise change of the working covariance in a sweep drops
-    below ``tol`` and no inner lasso solve stopped at ``LASSO_MAX_SWEEPS``;
+    below ``tol`` and no inner lasso solve used all ``LASSO_MAX_SWEEPS`` sweeps;
     a non-converged fit is returned flagged, not raised.  This is
     :func:`graphical_lasso_batch` on a stack of one.
     """
@@ -217,7 +217,9 @@ def _glasso_batch_slice(s, lam, tol, max_iter, alone, omega, converged, n_iter):
     w = s.copy()
     betas = np.zeros((n, p, p - 1))
     pen = np.repeat(lam[:, None], p - 1, axis=1)
-    # problems with an inner solve that stopped at its sweep limit
+    # problems with an inner solve that used its last allowed sweep: the
+    # kernels report a solve that converged on that sweep as they report
+    # one stopped there, so both count as capped
     capped = np.zeros(n, dtype=bool)
     for it in range(max_iter):
         n_iter[live] = it + 1
@@ -288,12 +290,7 @@ def graphical_lasso_batch(
     return omega, converged, n_iter
 
 
-def graphical_lasso_support(
-    s: np.ndarray,
-    support: np.ndarray,
-    tol: float = GLASSO_TOL,
-    max_iter: int = GLASSO_MAX_ITER,
-) -> PrecisionEstimate:
+def graphical_lasso_support(s: np.ndarray, support: np.ndarray) -> PrecisionEstimate:
     """Maximum-likelihood precision with known zeros: ESL Algorithm 17.1
     (Hastie, Tibshirani & Friedman, *The Elements of Statistical
     Learning*, 2nd ed., section 17.3.1).
@@ -312,7 +309,7 @@ def graphical_lasso_support(
     w = s.copy()
     betas = np.zeros((1, p, p - 1))
     converged = False
-    for it in range(max_iter):
+    for it in range(GLASSO_MAX_ITER):
         max_change = 0.0
         for j in range(p):
             rest = idx[idx != j]
@@ -332,7 +329,7 @@ def graphical_lasso_support(
             w[rest, j] = w12
             w[j, rest] = w12
         _precision_diagonal(w[None], betas)
-        if max_change < tol:
+        if max_change < GLASSO_TOL:
             converged = True
             break
     return PrecisionEstimate(_assemble_precision(w[None], betas)[0], converged, it + 1)

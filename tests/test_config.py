@@ -175,14 +175,26 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="filter.min_total must be finite"):
             build_config({"filter.min_total": value})
 
+    @pytest.mark.parametrize("pseudo_first", [False, True])
     @pytest.mark.parametrize("transform", ["clr", "log"])
-    def test_correlation_pseudo_is_checked_when_the_transform_uses_it(self, transform):
+    def test_correlation_pseudo_is_checked_when_the_transform_uses_it(
+        self, transform, pseudo_first
+    ):
+        raw = {"pearson.transform": transform, "pearson.pseudo": "nan"}
+        if pseudo_first:
+            raw = dict(reversed(raw.items()))
         with pytest.raises(ConfigError, match="pearson.pseudo: pseudo-count must be finite"):
-            build_config({"pearson.transform": transform, "pearson.pseudo": "nan"})
+            build_config(raw)
 
+    @pytest.mark.parametrize("pseudo_first", [False, True])
     @pytest.mark.parametrize("transform", ["mclr", "raw"])
-    def test_correlation_pseudo_is_ignored_when_the_transform_adds_none(self, transform):
-        cfg = build_config({"spearman.transform": transform, "spearman.pseudo": "-1"})
+    def test_correlation_pseudo_is_ignored_when_the_transform_adds_none(
+        self, transform, pseudo_first
+    ):
+        raw = {"spearman.transform": transform, "spearman.pseudo": "-1"}
+        if pseudo_first:
+            raw = dict(reversed(raw.items()))
+        cfg = build_config(raw)
         assert cfg.params_for("spearman").pseudo == -1.0
 
     def test_orientation_validated(self):

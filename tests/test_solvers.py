@@ -396,6 +396,22 @@ class TestSupportFit:
         with pytest.raises(SolverError):
             graphical_lasso_support(s, support)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_star_at_p_greater_than_n_is_unscorable(self, seed):
+        # a tree's fit exists on 5 samples, but the fit starts from W = S:
+        # the centre's first solve meets the 7 x 7 leaf block of S, of rank
+        # 4, and raises; a chain on the same table fits (ROADMAP item 2
+        # holds the proposed start from another positive-definite W)
+        p = 8
+        s = sample_correlation(p, 5, seed)
+        star = np.zeros((p, p), dtype=bool)
+        star[0, 1:] = True
+        with pytest.raises(SolverError):
+            graphical_lasso_support(s, star | star.T)
+        chain = np.eye(p, k=1, dtype=bool)
+        est = graphical_lasso_support(s, chain | chain.T)
+        assert est.converged and np.linalg.eigvalsh(est.omega).min() > 0
+
     def test_full_and_empty_supports(self):
         s = sample_correlation(6, 40, 0)
         full = ~np.eye(6, dtype=bool)
