@@ -8,6 +8,7 @@ recovery claim refers to the same data.
 from __future__ import annotations
 
 import logging
+import time
 from functools import partial
 
 import numpy as np
@@ -190,16 +191,35 @@ class TestStarsEarlyStop:
 
 
 def test_inner_solves_at_their_sweep_limit_are_recorded(monkeypatch):
-    # a graphical-lasso fit whose inner lasso stopped at LASSO_MAX_SWEEPS is
-    # not converged, and both methods that run such fits record it
+    # a graphical-lasso fit whose inner lasso stopped at LASSO_MAX_SWEEPS
+    # without a certified exact solution is not converged, and both methods
+    # that run such fits record it; with certificates, two sweeps often
+    # find the active set, so the exact solves are turned down here
     table = chain_count_table(p=6, n=120, seed=4)
     gcoda_params = GcodaParams(nlambda=6)
     glasso_params = SpieceasiParams(rep_num=5)
     assert gcoda_fit(table, gcoda_params).selection["unconverged"] == []
     assert spieceasi_fit(table, "glasso", glasso_params).selection["unconverged_fits"] == 0
     monkeypatch.setattr(solvers, "LASSO_MAX_SWEEPS", 2)
+    monkeypatch.setattr(solvers, "_active_set_solve",
+                        lambda v, b, beta, lam: (beta, np.zeros(len(b), dtype=bool)))
     assert gcoda_fit(table, gcoda_params).selection["unconverged"] == list(range(6))
     assert spieceasi_fit(table, "glasso", glasso_params).selection["unconverged_fits"] > 0
+
+
+def test_gcoda_at_p_greater_than_n_finishes_with_its_limits_recorded():
+    # 6 taxa x 5 samples: bench/tables.py's chain_table(5, 6, 5).  Every
+    # penalty's fit stops at an iteration limit and is recorded; the exact
+    # inner solves bring the fit from 6.3 s to 1.1 s (2-core VM), and the
+    # bound leaves room for a loaded machine
+    table = chain_count_table(p=6, n=5, seed=5, depth=1e4)
+    start = time.perf_counter()
+    fit = gcoda_fit(table)
+    seconds = time.perf_counter() - start
+    assert fit.selection["lambda_index"] == 14
+    assert fit.selection["unscorable"] == []
+    assert fit.selection["unconverged"] == list(range(15))
+    assert seconds < 4.0
 
 
 class TestGcoda:

@@ -238,11 +238,28 @@ class TestDeterminism:
         assert echoes[0] == echoes[1]
 
     def test_parallel_run_matches_serial(self, tmp_path):
-        serial = run_pipeline(fast_config(tmp_path / "s", seed=2), table=small_counts())
-        parallel = run_pipeline(
-            fast_config(tmp_path / "p", seed=2, jobs="2"), table=small_counts()
-        )
-        assert np.array_equal(serial.consensus.weights, parallel.consensus.weights)
+        # all ten methods: every artifact byte, and the manifest but for its
+        # timings and the settings that name the output directory and jobs
+        def run(name, jobs):
+            out = tmp_path / name
+            cfg = build_config({"methods": "all", "output": str(out), "seed": "2", "jobs": jobs})
+            run_pipeline(cfg, table=small_counts(p=6))
+            manifest = json.loads((out / "manifest.json").read_text())
+            for record in manifest["methods"].values():
+                del record["seconds"]
+            echo = (out / "config_echo.txt").read_text()
+            assert manifest.pop("config") == echo
+            settings = [line for line in echo.splitlines()
+                        if not line.startswith(("output = ", "jobs = "))]
+            return self.artifact_bytes(out), manifest, settings
+
+        serial, parallel = run("serial", "1"), run("parallel", "2")
+        assert serial[0].keys() == parallel[0].keys()
+        assert len(serial[0]) > 10
+        for name in serial[0]:
+            assert serial[0][name] == parallel[0][name], name
+        assert serial[1]["failed_methods"] == [] and len(serial[1]["methods"]) == 10
+        assert serial[1:] == parallel[1:]
 
 
 class TestPrepareTable:

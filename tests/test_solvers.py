@@ -1,3 +1,6 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,9 +181,12 @@ class TestGraphicalLasso:
 
 
 # References: the scalar solver (without its objective bookkeeping) and the
-# batched solver that the one solver replaced.  The one solver must give
-# their bits exactly.  They share the kernels and _precision_diagonal, so a
-# NaN iterate raises in them as it does in the one solver.
+# batched solver that the one solver replaced, both pure coordinate descent
+# whose inner solves stop at GLASSO_INNER_TOL.  The one solver ends each inner
+# solve exactly, so it must give their outcomes, supports and converged flags,
+# and their omega to OMEGA_RTOL.  They share the kernels and
+# _precision_diagonal, so a NaN iterate raises in them as it does in the one
+# solver.
 
 
 def reference_graphical_lasso(s, lam, tol=GLASSO_TOL, max_iter=GLASSO_MAX_ITER):
@@ -297,13 +303,42 @@ def covariances(draw, max_p=20):
     return sample_correlation(p, draw(st.integers(max(2, p // 2), 3 * p)), seed)
 
 
+# omega against the references, relative to its largest entry: at most
+# 1.3e-8 on 2,000 scratch fits drawn like test_scalar_penalty's and 8.4e-9
+# on 8,960 problems drawn like test_batch's
+OMEGA_RTOL = 1e-6
+
+
 def outcome(solve):
-    """A fit's (omega bytes, converged, n_iter), or the solver error."""
+    """A fit's (omega, converged, n_iter) arrays, or the solver error."""
     try:
         omega, converged, n_iter = solve()
     except SolverError as exc:
         return str(exc)
-    return np.asarray(omega).tobytes(), np.asarray(converged).tolist(), np.asarray(n_iter).tolist()
+    return np.asarray(omega), np.asarray(converged), np.asarray(n_iter)
+
+
+def fit_bits(solve):
+    """A fit's (omega bytes, converged, n_iter), or the solver error."""
+    got = outcome(solve)
+    if isinstance(got, str):
+        return got
+    omega, converged, n_iter = got
+    return omega.tobytes(), converged.tolist(), n_iter.tolist()
+
+
+def assert_agrees(got, ref):
+    """The same SolverError outcome and, when both fit, the same supports
+    and converged flags, with each omega within OMEGA_RTOL of its largest
+    entry."""
+    if isinstance(got, str) or isinstance(ref, str):
+        assert got == ref
+        return
+    (omega, converged, _), (ref_omega, ref_converged, _) = got, ref
+    np.testing.assert_array_equal(omega != 0, ref_omega != 0)
+    np.testing.assert_array_equal(converged, ref_converged)
+    err = np.abs(omega - ref_omega).max(axis=(-2, -1))
+    assert (err <= OMEGA_RTOL * np.abs(ref_omega).max(axis=(-2, -1))).all()
 
 
 def single(s, lam, max_iter):
@@ -311,32 +346,68 @@ def single(s, lam, max_iter):
     return est.omega, est.converged, est.n_iter
 
 
+def capped_reference(s, lam, max_iter=GLASSO_MAX_ITER):
+    """reference_graphical_lasso under a rule it predates: a fit that has an
+    inner solve stopped at LASSO_MAX_SWEEPS is not converged.  The
+    reference's scalar-kernel calls are watched for such solves."""
+    capped = []
+
+    def kernel(*args):
+        sweeps = solvers._cd_gram(*args)
+        capped.append(sweeps >= LASSO_MAX_SWEEPS)
+        return sweeps
+
+    with mock.patch.object(sys.modules[__name__], "_cd_gram", kernel):
+        omega, converged, n_iter = reference_graphical_lasso(s, lam, max_iter=max_iter)
+    return omega, converged and not any(capped), n_iter
+
+
+def capped_batch_reference(s, lam, max_iter=GLASSO_MAX_ITER):
+    """reference_graphical_lasso_batch under the same rule.  A problem's
+    inner solves are read from its scalar reference fit, whose kernel gives
+    the batched kernel's bits."""
+    omega, converged, n_iter = reference_graphical_lasso_batch(s, lam, max_iter=max_iter)
+    for i in np.flatnonzero(converged):
+        converged[i] = capped_reference(s[i], lam[i], max_iter)[1]
+    return omega, converged, n_iter
+
+
+def correlation_batch(p, count, seed):
+    """``count`` sample correlations of p variables, singular when their
+    sample count is at most p, with penalties below their largest
+    off-diagonal entry."""
+    rng = np.random.default_rng(seed)
+    s = np.array([sample_correlation(p, int(rng.integers(max(2, p // 2), 3 * p)), seed + k)
+                  for k in range(count)])
+    lam = rng.uniform(0.05, 1.0, size=count) * [lam_max(x) for x in s]
+    return s, lam
+
+
 class TestOneSolverBits:
+    """The one solver against the coordinate-descent references."""
+
     @settings(max_examples=40, deadline=None)
     @given(covariances(), st.floats(0.05, 1.1), st.integers(1, 40))
     def test_scalar_penalty(self, s, frac, max_iter):
         lam = frac * lam_max(s)
-        assert outcome(lambda: single(s, lam, max_iter)) == outcome(
-            lambda: reference_graphical_lasso(s, lam, max_iter=max_iter))
+        assert_agrees(outcome(lambda: single(s, lam, max_iter)),
+                      outcome(lambda: capped_reference(s, lam, max_iter)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 7), st.integers(0, 2**32 - 1),
            st.integers(1, 40))
     def test_batch(self, p, count, seed, max_iter):
-        rng = np.random.default_rng(seed)
-        s = np.array([sample_correlation(p, int(rng.integers(max(2, p // 2), 3 * p)), seed + k)
-                      for k in range(count)])
-        lam = rng.uniform(0.05, 1.0, size=count) * [lam_max(x) for x in s]
-        assert outcome(lambda: graphical_lasso_batch(s, lam, max_iter=max_iter)) == outcome(
-            lambda: reference_graphical_lasso_batch(s, lam, max_iter=max_iter))
+        s, lam = correlation_batch(p, count, seed)
+        assert_agrees(outcome(lambda: graphical_lasso_batch(s, lam, max_iter=max_iter)),
+                      outcome(lambda: capped_batch_reference(s, lam, max_iter)))
 
     def test_batch_that_shrinks_to_one_live_problem(self):
         # the identity stops after one sweep and the others at distinct
         # sweeps, so the last sweeps run a single live problem
         s = np.array([np.eye(8)] + [sample_correlation(8, 12, seed) for seed in (1, 2)])
         lam = np.array([0.1, 0.2, 0.02])
-        got = graphical_lasso_batch(s, lam)
-        assert outcome(lambda: got) == outcome(lambda: reference_graphical_lasso_batch(s, lam))
+        got = outcome(lambda: graphical_lasso_batch(s, lam))
+        assert_agrees(got, outcome(lambda: capped_batch_reference(s, lam)))
         n_iter = got[2]
         assert n_iter[0] == 1 and (n_iter == n_iter.max()).sum() == 1
 
@@ -344,8 +415,101 @@ class TestOneSolverBits:
         monkeypatch.setattr(solvers, "BATCH_MAX_ENTRIES", 2 * 6 * 6)
         s = np.array([sample_correlation(6, 20, seed) for seed in range(5)])
         lam = np.linspace(0.05, 0.3, 5)
-        assert outcome(lambda: graphical_lasso_batch(s, lam)) == outcome(
-            lambda: reference_graphical_lasso_batch(s, lam))
+        assert_agrees(outcome(lambda: graphical_lasso_batch(s, lam)),
+                      outcome(lambda: capped_batch_reference(s, lam)))
+
+
+class TestBatchMatchesSingleFits:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 7), st.integers(0, 2**32 - 1),
+           st.integers(1, 40), st.booleans())
+    def test_each_problem_gives_its_stack_of_one_bits(self, p, count, seed, max_iter, sliced):
+        # tables with no more samples than variables give singular
+        # correlations, whose fits meet blocks that are not positive definite
+        # and are solved again by coordinate descent alone
+        s, lam = correlation_batch(p, count, seed)
+        entries = 2 * p * p if sliced else solvers.BATCH_MAX_ENTRIES
+        with mock.patch.object(solvers, "BATCH_MAX_ENTRIES", entries):
+            whole = outcome(lambda: graphical_lasso_batch(s, lam, max_iter=max_iter))
+        ones = [outcome(lambda: graphical_lasso_batch(s[i : i + 1], lam[i : i + 1],
+                                                      max_iter=max_iter))
+                for i in range(count)]
+        if isinstance(whole, str):
+            assert whole in ones
+            return
+        for i, one in enumerate(ones):
+            assert not isinstance(one, str), one
+            assert one[0][0].tobytes() == whole[0][i].tobytes()
+            assert (one[1][0], one[2][0]) == (whole[1][i], whole[2][i])
+
+
+def never_certified(v, b, beta, lam):
+    return beta, np.zeros(len(b), dtype=bool)
+
+
+class TestCertifiedInnerSolves:
+    def test_accepted_solutions_meet_the_optimality_conditions(self, monkeypatch):
+        accepted = []
+        certify = solvers._active_set_solve
+
+        def recording(v, b, beta, lam):
+            x, ok = certify(v, b, beta, lam)
+            accepted.extend((v[i], b[i], lam[i, 0], x[i]) for i in np.flatnonzero(ok))
+            return x, ok
+
+        monkeypatch.setattr(solvers, "_active_set_solve", recording)
+        for seed in range(4):
+            s, lam = correlation_batch(12, 6, seed)
+            graphical_lasso_batch(s, lam)
+            graphical_lasso(s[0], lam[0])
+        assert len(accepted) > 500 and any(x.any() for *_, x in accepted)
+        worst = 0.0
+        for v, b, lam, x in accepted:
+            # the certificate's own product, so the bound off the active set
+            # holds exactly; on it the gradient is lam * sign(x) up to rounding
+            grad = b - np.matmul(v[None], x[None, :, None])[0, :, 0]
+            on = x != 0
+            assert (np.abs(grad[~on]) <= lam).all()
+            scale = np.abs(b) + np.abs(v) @ np.abs(x) + lam
+            worst = max(worst, (np.abs(grad - lam * np.sign(x)) / scale)[on].max(initial=0.0))
+        # 2.4e-16 on these 768 solutions, against the 1e-6 that coordinate
+        # descent to 1e-12 is held to in TestLasso::test_kkt_conditions_hold
+        assert worst < 1e-12
+
+    def test_a_failed_certificate_ends_at_the_coordinate_descent_answer(self, monkeypatch):
+        # a loose tolerance of 1e3 stops coordinate descent after one sweep,
+        # and many of its active sets fail the certificate
+        tries = []
+        certify = solvers._active_set_solve
+
+        def recording(v, b, beta, lam):
+            x, ok = certify(v, b, beta, lam)
+            tries.extend(ok)
+            return x, ok
+
+        monkeypatch.setattr(solvers, "GLASSO_INNER_LOOSE_TOL", 1e3)
+        monkeypatch.setattr(solvers, "_active_set_solve", recording)
+        for seed in range(6):
+            s = sample_correlation(10, 40, seed)
+            lam = 0.1 * lam_max(s)
+            assert_agrees(outcome(lambda: single(s, lam, GLASSO_MAX_ITER)),
+                          outcome(lambda: capped_reference(s, lam)))
+        assert 0 < tries.count(False) and 0 < tries.count(True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_certificates_it_is_the_reference(self, seed, monkeypatch):
+        # every inner solve then runs coordinate descent once, to
+        # GLASSO_INNER_TOL, as the references do
+        monkeypatch.setattr(solvers, "GLASSO_INNER_LOOSE_TOL", GLASSO_INNER_TOL)
+        monkeypatch.setattr(solvers, "_active_set_solve", never_certified)
+        s, lam = correlation_batch(9, 4, seed)
+        assert fit_bits(lambda: single(s[0], lam[0], GLASSO_MAX_ITER)) == fit_bits(
+            lambda: capped_reference(s[0], lam[0]))
+        # equal but for the sign of zeros: the batched reference keeps the
+        # -0.0 coefficients its kernel writes
+        got, ref = graphical_lasso_batch(s, lam), capped_batch_reference(s, lam)
+        np.testing.assert_array_equal(got[0], ref[0])
+        assert [a.tolist() for a in got[1:]] == [a.tolist() for a in ref[1:]]
 
 
 def random_support(rng, p, density):
