@@ -425,8 +425,8 @@ class TestBatchMatchesSingleFits:
            st.integers(1, 40), st.booleans())
     def test_each_problem_gives_its_stack_of_one_bits(self, p, count, seed, max_iter, sliced):
         # tables with no more samples than variables give singular
-        # correlations, whose fits meet blocks that are not positive definite
-        # and are solved again by coordinate descent alone
+        # correlations, whose fits meet singular blocks and are solved again
+        # by coordinate descent alone
         s, lam = correlation_batch(p, count, seed)
         entries = 2 * p * p if sliced else solvers.BATCH_MAX_ENTRIES
         with mock.patch.object(solvers, "BATCH_MAX_ENTRIES", entries):
