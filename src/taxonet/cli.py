@@ -11,10 +11,11 @@ Verbs::
 
 ``run`` executes the full pipeline.  Its flags set the config keys of the
 same name (``--out`` sets ``output``) over the config file's entries.  The
-other verbs operate on a finished run directory; ``render`` lays the SVGs
-out with the seed recorded in the run's manifest.  Exit codes: 0 clean, 2
-usage or data errors, 3 when one or more methods failed (the consensus of
-the survivors is still written).
+other verbs operate on a finished run directory; ``render`` redraws the
+SVGs from the positions in the run's ``layouts.json`` and lays out, with the
+seed in the run's manifest, only the networks that file does not cover.
+Exit codes: 0 clean, 2 usage or data errors, 3 when one or more methods
+failed (the consensus of the survivors is still written).
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .consensus import threshold_network, threshold_sweep
 from .errors import ConfigError, ConsensusError, TaxonetError
 from .exports import EXPORT_FORMATS, export_graph, write_text
 from .pipeline import (
+    LAYOUTS_NAME,
     labeled_matrix_text,
     load_consensus,
     read_labeled_matrix,
+    read_layouts,
     read_manifest,
     run_pipeline,
     sweep_text,
@@ -149,7 +152,9 @@ def _cmd_render(args) -> int:
     seed = read_manifest(out).get("seed")
     if not isinstance(seed, int):
         raise ConsensusError(f"the run manifest in {out} records no seed")
-    layouts: dict = {}
+    layouts_path = os.path.join(out, LAYOUTS_NAME)
+    recorded = read_layouts(layouts_path)
+    layouts = dict(recorded or {})
     paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
     union = threshold_network(c, 0)
     union_path = os.path.join(out, "consensus_network.svg")
@@ -162,7 +167,12 @@ def _cmd_render(args) -> int:
         heat = os.path.join(out, "hamming_heatmap.svg")
         render_hamming_heatmap(h, labels, heat)
         paths.append(heat)
-    print(f"rendered {len(paths)} images in {out}")
+    fresh = sum(pos is not (recorded or {}).get(key) for key, pos in layouts.items())
+    if fresh and recorded is not None:
+        logging.getLogger("taxonet").warning(
+            "%s did not hold %d of the layouts drawn; laid them out afresh", layouts_path, fresh)
+    print(f"rendered {len(paths)} images in {out} "
+          f"({len(recorded or {})} layouts read from {LAYOUTS_NAME}, {fresh} laid out)")
     return 0
 
 

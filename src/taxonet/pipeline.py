@@ -11,6 +11,7 @@ Artifacts written to the output directory:
 - ``network_t<k>.svg``        one rendering per threshold
 - ``consensus_network.svg``   the union network (weight >= 1)
 - ``hamming_heatmap.svg``     the disagreement matrix as a heatmap
+- ``layouts.json``            the positions behind the SVGs, for ``render``
 - ``config_echo.txt``         the effective configuration, fully spelled out
 - ``manifest.json``           run record (seeds, timings, selections, failures)
 
@@ -58,6 +59,7 @@ from .render import render_hamming_heatmap, render_network_svg, render_threshold
 log = logging.getLogger("taxonet")
 
 MANIFEST_NAME = "manifest.json"
+LAYOUTS_NAME = "layouts.json"
 
 # With jobs > 1 these methods go to the workers first, in this order, and
 # the rest follow in roster order, so the longest job never starts last.
@@ -242,6 +244,9 @@ def write_artifacts(run: PipelineRun) -> list[str]:
         render_hamming_heatmap(
             run.hamming, list(c.methods), record("hamming_heatmap.svg")
         )
+        # floats are written in their shortest exact repr, so they read back bit for bit
+        write_text(record(LAYOUTS_NAME), json.dumps(
+            {key: pos.tolist() for key, pos in layouts.items()}, sort_keys=True) + "\n")
 
     write_text(record("config_echo.txt"), config_to_text(run.config))
 
@@ -330,6 +335,25 @@ def read_manifest(out_dir) -> dict:
             f"run manifest {path} holds a {type(manifest).__name__}, not an object"
         )
     return manifest
+
+
+def read_layouts(path) -> dict | None:
+    """The positions a run recorded in ``path``, keyed as ``render``'s
+    ``layouts``; entries that are not numeric arrays are left out.  None,
+    with a warning naming the file, when it is missing or not a JSON object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError(f"it holds a {type(entries).__name__}, not an object")
+    except (OSError, ValueError) as exc:
+        log.warning("cannot read the recorded layouts in %s: %s", path, exc)
+        return None
+    layouts = {}
+    for key, pos in entries.items():
+        with contextlib.suppress(TypeError, ValueError):
+            layouts[key] = np.asarray(pos, dtype=float)
+    return layouts
 
 
 def load_consensus(out_dir) -> WeightedConsensus:

@@ -10,7 +10,9 @@ One layout per distinct network: a run and the ``render`` verb each pass
 one ``layouts`` dict to all their drawings, so a network is laid out once
 however often it is drawn.  The union is drawn both as ``network_t0.svg``
 and as ``consensus_network.svg``, and consecutive thresholds often keep the
-same edges.  The dict lives only as long as the call that made it.
+same edges.  A run records the dict in ``layouts.json``, and the ``render``
+verb starts from that record, so it lays out only the networks the record
+does not cover.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
     k = np.sqrt(1.0 / p)
     t = 0.1
     dt = t / (LAYOUT_ITERATIONS + 1)
+    # the attraction term is zero off the edges, so it is applied on them only
+    edges = np.flatnonzero(a)
+    weights = a.ravel()[edges]
     x = pos[:, 0].copy()
     y = pos[:, 1].copy()
     dx, dy, dist, force, work = (np.empty((p, p)) for _ in range(5))
@@ -67,9 +72,7 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
         # force = k * k / dist**2 - a * dist / k
         np.multiply(dist, dist, out=force)
         np.divide(k * k, force, out=force)
-        np.multiply(a, dist, out=work)
-        np.divide(work, k, out=work)
-        np.subtract(force, work, out=force)
+        force.ravel()[edges] -= weights * dist.ravel()[edges] / k
         np.multiply(dx, force, out=work)
         disp_x = work.sum(axis=0)
         np.multiply(dy, force, out=work)
@@ -84,14 +87,19 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _layout(sub: np.ndarray, seed: int, layouts: dict | None) -> np.ndarray:
-    """``fr_layout(sub, seed)``, taken from ``layouts`` when a network with
-    the same adjacency was already laid out there with the same seed."""
+    """``fr_layout(sub, seed)``, taken from ``layouts`` when it holds a
+    finite ``(k, 2)`` array under the sha256 hex of all that the layout
+    depends on: the adjacency's shape, dtype and bytes, and the seed."""
     if layouts is None:
         return fr_layout(sub, seed)
-    key = (sub.shape, sub.dtype.str, sub.tobytes(), seed)
-    if key not in layouts:
-        layouts[key] = fr_layout(sub, seed)
-    return layouts[key]
+    import hashlib  # here, so that importing the CLI does not load OpenSSL
+
+    head = f"{sub.shape} {sub.dtype.str} {seed}\n".encode()
+    key = hashlib.sha256(head + sub.tobytes()).hexdigest()
+    pos = layouts.get(key)
+    if pos is None or pos.shape != (len(sub), 2) or not np.isfinite(pos).all():
+        layouts[key] = pos = fr_layout(sub, seed)
+    return pos
 
 
 def _scaled(pos: np.ndarray) -> np.ndarray:

@@ -73,6 +73,7 @@ class TestArtifacts:
             "network_t2.svg",
             "consensus_network.svg",
             "hamming_heatmap.svg",
+            "layouts.json",
             "config_echo.txt",
             "manifest.json",
         ]
@@ -300,9 +301,11 @@ class TestPrepareTable:
 
 
 def test_importing_the_cli_leaves_out_the_pool_and_the_web_modules():
-    # a serial run never needs the process pool, and escaping needs no urllib
+    # a serial run never needs the process pool, escaping needs no urllib, and
+    # only drawing a network needs hashlib
     code = ("import sys, taxonet.cli; print(sorted(m for m in ('concurrent.futures.process', "
-            "'urllib.request', 'http.client', 'email', 'xml.sax') if m in sys.modules))")
+            "'urllib.request', 'http.client', 'email', 'xml.sax', 'hashlib') "
+            "if m in sys.modules))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

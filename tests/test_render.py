@@ -1,7 +1,11 @@
 """SVG rendering: deterministic bytes, glyph counts, panel annotations, the
 heatmap parse-back oracle, and one layout per distinct network."""
 
+import hashlib
+import json
+import logging
 import re
+import shutil
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -295,12 +299,12 @@ def vote_result(method, table, params=None, seed=None):
 class TestOneLayoutPerNetwork:
     seed = 3
 
-    def run(self, out, monkeypatch):
+    def run(self, out, monkeypatch, seed=seed):
         monkeypatch.setattr("taxonet.pipeline.run_method", vote_result)
         rng = np.random.default_rng(0)
         table = make_table(rng.integers(1, 50, size=(12, 6)))
         cfg = build_config(
-            {"methods": ",".join(LAYOUT_VOTES), "output": str(out), "seed": str(self.seed)}
+            {"methods": ",".join(LAYOUT_VOTES), "output": str(out), "seed": str(seed)}
         )
         return run_pipeline(cfg, table=table)
 
@@ -340,10 +344,65 @@ class TestOneLayoutPerNetwork:
         self, tmp_path, monkeypatch
     ):
         run = self.run(tmp_path, monkeypatch)
+        (tmp_path / "layouts.json").unlink()
         calls = self.count_layouts(monkeypatch)
         assert main(["render", "--out", str(tmp_path)]) == 0
         assert set(calls) == self.distinct_networks(run.consensus)
         assert set(calls.values()) == {1}
+
+    def test_render_after_run_lays_out_nothing(self, tmp_path, monkeypatch, capsys):
+        run = self.run(tmp_path, monkeypatch)
+        svgs = self.svgs(tmp_path)
+        recorded = json.loads((tmp_path / "layouts.json").read_text())
+        # keyed by the sha256 of the laid-out adjacency's shape, dtype, bytes and seed
+        assert set(recorded) == {
+            hashlib.sha256(f"{(k, k)} |i1 {seed}\n".encode() + adj).hexdigest()
+            for adj, seed in self.distinct_networks(run.consensus)
+            for k in [round(len(adj) ** 0.5)]
+        }
+        capsys.readouterr()
+        calls = self.count_layouts(monkeypatch)
+        assert main(["render", "--out", str(tmp_path)]) == 0
+        assert not calls
+        assert self.svgs(tmp_path) == svgs
+        assert "(2 layouts read from layouts.json, 0 laid out)" in capsys.readouterr().out
+
+    @staticmethod
+    def _first_entry(path, value):
+        recorded = json.loads(path.read_text())
+        recorded[min(recorded)] = value
+        path.write_text(json.dumps(recorded))
+
+    @pytest.mark.parametrize("damage, affected", [
+        ("deleted", 2), ("not_json", 2), ("nan_entry", 1), ("misshapen_entry", 1),
+        ("other_seed", 2),
+    ])
+    def test_render_lays_out_what_the_record_does_not_cover(
+        self, tmp_path, monkeypatch, caplog, damage, affected
+    ):
+        run = self.run(tmp_path, monkeypatch)
+        svgs = self.svgs(tmp_path)
+        record = tmp_path / "layouts.json"
+        if damage == "deleted":
+            record.unlink()
+        elif damage == "not_json":
+            record.write_text("{not json")
+        elif damage == "nan_entry":
+            self._first_entry(record, [[float("nan"), 0.5]] * 3)
+        elif damage == "misshapen_entry":
+            self._first_entry(record, [[0.5, 0.5, 0.5]])
+        else:
+            self.run(tmp_path / "other", monkeypatch, seed=self.seed + 1)
+            shutil.copy(tmp_path / "other" / "layouts.json", record)
+        calls = self.count_layouts(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="taxonet"):
+            assert main(["render", "--out", str(tmp_path)]) == 0
+        assert len(calls) == affected
+        assert set(calls) <= self.distinct_networks(run.consensus)
+        assert set(calls.values()) == {1}
+        assert self.svgs(tmp_path) == svgs
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and str(record) in warnings[0].getMessage()
 
     def test_svg_bytes_equal_an_unmemoized_run(self, tmp_path, monkeypatch):
         memo_dir = tmp_path / "memo"
