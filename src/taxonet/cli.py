@@ -12,10 +12,10 @@ Verbs::
 ``run`` executes the full pipeline.  Its flags set the config keys of the
 same name (``--out`` sets ``output``) over the config file's entries.  The
 other verbs operate on a finished run directory; ``render`` redraws the
-SVGs from the positions in the run's ``layouts.json`` and lays out, with the
-seed in the run's manifest, only the networks that file does not cover.
-Exit codes: 0 clean, 2 usage or data errors, 3 when one or more methods
-failed (the consensus of the survivors is still written).
+SVGs and lays out, with the manifest's seed, only the networks that
+``layouts.json`` does not cover.  Exit codes: 0 clean, 2 usage or data
+errors, 3 when one or more methods failed (the consensus of the survivors
+is still written).
 """
 
 from __future__ import annotations

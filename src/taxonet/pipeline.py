@@ -339,21 +339,14 @@ def read_manifest(out_dir) -> dict:
 
 def read_layouts(path) -> dict | None:
     """The positions a run recorded in ``path``, keyed as ``render``'s
-    ``layouts``; entries that are not numeric arrays are left out.  None,
-    with a warning naming the file, when it is missing or not a JSON object."""
+    ``layouts``; None, with a warning naming the file, when it is missing or
+    not a JSON object of numeric arrays."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-        if not isinstance(entries, dict):
-            raise ValueError(f"it holds a {type(entries).__name__}, not an object")
-    except (OSError, ValueError) as exc:
+            return {key: np.asarray(pos, dtype=float) for key, pos in dict(json.load(fh)).items()}
+    except (OSError, TypeError, ValueError) as exc:
         log.warning("cannot read the recorded layouts in %s: %s", path, exc)
         return None
-    layouts = {}
-    for key, pos in entries.items():
-        with contextlib.suppress(TypeError, ValueError):
-            layouts[key] = np.asarray(pos, dtype=float)
-    return layouts
 
 
 def load_consensus(out_dir) -> WeightedConsensus:

@@ -10,9 +10,8 @@ One layout per distinct network: a run and the ``render`` verb each pass
 one ``layouts`` dict to all their drawings, so a network is laid out once
 however often it is drawn.  The union is drawn both as ``network_t0.svg``
 and as ``consensus_network.svg``, and consecutive thresholds often keep the
-same edges.  A run records the dict in ``layouts.json``, and the ``render``
-verb starts from that record, so it lays out only the networks the record
-does not cover.
+same edges.  A run records the dict in ``layouts.json``; ``render`` starts
+from that record.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
     k = np.sqrt(1.0 / p)
     t = 0.1
     dt = t / (LAYOUT_ITERATIONS + 1)
-    # the attraction term is zero off the edges, so it is applied on them only
     edges = np.flatnonzero(a)
     weights = a.ravel()[edges]
     x = pos[:, 0].copy()
@@ -69,7 +67,7 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
         np.sqrt(dist, out=dist)
         np.clip(dist, 0.01, None, out=dist)
         # repulsion between all pairs, attraction along edges:
-        # force = k * k / dist**2 - a * dist / k
+        # force = k * k / dist**2 - a * dist / k, where a is 0 off the edges
         np.multiply(dist, dist, out=force)
         np.divide(k * k, force, out=force)
         force.ravel()[edges] -= weights * dist.ravel()[edges] / k
@@ -93,7 +91,6 @@ def _layout(sub: np.ndarray, seed: int, layouts: dict | None) -> np.ndarray:
     if layouts is None:
         return fr_layout(sub, seed)
     import hashlib  # here, so that importing the CLI does not load OpenSSL
-
     head = f"{sub.shape} {sub.dtype.str} {seed}\n".encode()
     key = hashlib.sha256(head + sub.tobytes()).hexdigest()
     pos = layouts.get(key)

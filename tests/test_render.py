@@ -374,8 +374,8 @@ class TestOneLayoutPerNetwork:
         path.write_text(json.dumps(recorded))
 
     @pytest.mark.parametrize("damage, affected", [
-        ("deleted", 2), ("not_json", 2), ("nan_entry", 1), ("misshapen_entry", 1),
-        ("other_seed", 2),
+        ("deleted", 2), ("not_json", 2), ("not_an_object", 2), ("nan_entry", 1),
+        ("misshapen_entry", 1), ("ragged_entry", 2), ("other_seed", 2),
     ])
     def test_render_lays_out_what_the_record_does_not_cover(
         self, tmp_path, monkeypatch, caplog, damage, affected
@@ -387,10 +387,15 @@ class TestOneLayoutPerNetwork:
             record.unlink()
         elif damage == "not_json":
             record.write_text("{not json")
+        elif damage == "not_an_object":
+            record.write_text("[1, 2]")
         elif damage == "nan_entry":
             self._first_entry(record, [[float("nan"), 0.5]] * 3)
         elif damage == "misshapen_entry":
             self._first_entry(record, [[0.5, 0.5, 0.5]])
+        elif damage == "ragged_entry":
+            # not an array at all, so the record as a whole is unreadable
+            self._first_entry(record, [[0.5], [0.5, 0.5]])
         else:
             self.run(tmp_path / "other", monkeypatch, seed=self.seed + 1)
             shutil.copy(tmp_path / "other" / "layouts.json", record)
