@@ -36,9 +36,11 @@ from .pipeline import (
     read_labeled_matrix,
     read_layouts,
     read_manifest,
+    render_run,
     run_pipeline,
     sweep_text,
 )
+# nothing here calls them; kept because bench/layers.py wraps these attributes
 from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
 
 
@@ -155,18 +157,9 @@ def _cmd_render(args) -> int:
     layouts_path = os.path.join(out, LAYOUTS_NAME)
     recorded = read_layouts(layouts_path)
     layouts = dict(recorded or {})
-    paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
-    union = threshold_network(c, 0)
-    union_path = os.path.join(out, "consensus_network.svg")
-    render_network_svg(union, seed, union_path,
-                       title=f"consensus union: {union.n_edges} edges", layouts=layouts)
-    paths.append(union_path)
     ham = os.path.join(out, "hamming_matrix.tsv")
-    if os.path.exists(ham):
-        labels, h = read_labeled_matrix(ham)
-        heat = os.path.join(out, "hamming_heatmap.svg")
-        render_hamming_heatmap(h, labels, heat)
-        paths.append(heat)
+    hamming = read_labeled_matrix(ham) if os.path.exists(ham) else None
+    paths = render_run(c, out, seed, layouts, hamming)
     fresh = sum(pos is not (recorded or {}).get(key) for key, pos in layouts.items())
     if fresh and recorded is not None:
         logging.getLogger("taxonet").warning(

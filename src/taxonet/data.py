@@ -4,6 +4,7 @@ The single ingestion format is a delimited text table (comma or tab) with
 one header row and one leading label column.  :class:`CountTable` is the
 one validated input; every transform takes it and returns a new samples x
 taxa array in the table's taxon order, and nothing mutates a table in place.
+:func:`mclr_values` alone takes an array, the rows of a table already checked.
 """
 
 from __future__ import annotations
@@ -184,19 +185,26 @@ def log_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
 
 
 def mclr_transform(table: CountTable) -> np.ndarray:
-    """Modified CLR for zero-inflated counts.
+    """Modified CLR of a table for zero-inflated counts (see
+    :func:`mclr_values`); a sample without a nonzero entry is a
+    ``TransformError`` naming it."""
+    rows_without = ~(table.values > 0).any(axis=1)
+    if rows_without.any():
+        bad = table.samples[int(np.argmax(rows_without))]
+        raise TransformError(f"sample {bad!r} has no nonzero entries")
+    return mclr_values(table.values)
+
+
+def mclr_values(v: np.ndarray) -> np.ndarray:
+    """Modified CLR of a samples x taxa array whose every row has a nonzero
+    entry.
 
     Nonzero entries of each row are replaced by ln(value) minus the mean of
     ln over that row's nonzero entries; zeros stay exactly 0.  A single
     global constant is then added to every nonzero entry so the minimum
     transformed nonzero equals 1.
     """
-    v = table.values
     nonzero = v > 0
-    rows_without = ~nonzero.any(axis=1)
-    if rows_without.any():
-        bad = table.samples[int(np.argmax(rows_without))]
-        raise TransformError(f"sample {bad!r} has no nonzero entries")
     out = np.zeros_like(v, dtype=float)
     with np.errstate(divide="ignore"):
         logs = np.where(nonzero, np.log(np.where(nonzero, v, 1.0)), 0.0)

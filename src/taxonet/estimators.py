@@ -21,7 +21,7 @@ from .correlation import (
     safe_correlation,
     tau_bridge,
 )
-from .data import CountTable, check_pseudo, clr_transform, mclr_transform
+from .data import CountTable, check_pseudo, clr_transform, mclr_values
 from .errors import EstimatorError, SolverError
 from .neighborhood import mb_adjacency_path, standardize_columns
 from .network import MethodResult, network_from_mask
@@ -151,15 +151,10 @@ def spieceasi_fit(
 
 
 def _latent_corr_values(counts: np.ndarray) -> np.ndarray:
-    """Latent correlation of a raw count matrix (mclr + tau bridge + PSD
-    projection); tolerant of columns that lost all variation."""
-    table = CountTable(
-        values=counts,
-        taxa=[f"V{i}" for i in range(counts.shape[1])],
-        samples=[f"s{i}" for i in range(counts.shape[0])],
-    )
-    transformed = mclr_transform(table)
-    tau = kendall_matrix(transformed)
+    """Latent correlation of a raw count matrix whose rows are rows of a
+    checked table (mclr + tau bridge + PSD projection); tolerant of columns
+    that lost all variation."""
+    tau = kendall_matrix(mclr_values(counts))
     return nearest_psd_correlation(tau_bridge(tau))
 
 

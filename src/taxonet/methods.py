@@ -1,14 +1,18 @@
 """Registry of the ten association methods.
 
-Each entry knows its parameter record, how to run it on a count table, and
-the default rule for turning its output into a binary vote.  The order
-below is the canonical roster order used everywhere (consensus columns,
-Hamming matrices, reports).
+Each entry holds the method's parameter record, its fit, and the default
+rule for turning the fit's output into a binary vote.  Every fit is called
+as ``fit(table, params=..., seed=...)``; the deterministic ones drop the
+seed.  A fit returns a :class:`MethodResult`, or, for the correlation
+methods and sparcc, a bare taxa x taxa matrix that :func:`run_method`
+wraps.  The order below is the canonical roster order used everywhere
+(consensus columns, Hamming matrices, reports).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Literal, get_args, get_type_hints
 
 import numpy as np
@@ -74,63 +78,33 @@ def _transformed(table: CountTable, params: CorrelationParams) -> np.ndarray:
     )
 
 
-def _run_correlation(method: str, table: CountTable, params: CorrelationParams, seed: int):
-    corr = correlation_matrix(_transformed(table, params), table.taxa, method)
-    return MethodResult(
-        method=method,
-        params=asdict(params),
-        taxa=list(table.taxa),
-        weighted=corr,
-    )
+def _correlation(method: str):
+    """The fit of one correlation method: its matrix over the transformed table."""
+    return lambda table, params, seed: correlation_matrix(
+        _transformed(table, params), table.taxa, method)
 
 
-def _run_sparcc(method, table, params: SparccParams, seed: int):
-    corr = sparcc_fit(table, params, seed=seed)
-    return MethodResult(
-        method="sparcc", params=asdict(params), taxa=list(table.taxa), weighted=corr
-    )
-
-
-def _run_spieceasi_mb(method, table, params: SpieceasiParams, seed: int):
-    return spieceasi_fit(table, mode="mb", params=params, seed=seed)
-
-
-def _run_spieceasi_glasso(method, table, params: SpieceasiParams, seed: int):
-    return spieceasi_fit(table, mode="glasso", params=params, seed=seed)
-
-
-def _run_spring(method, table, params: SpringParams, seed: int):
-    return spring_fit(table, params, seed=seed)
-
-
-def _run_gcoda(method, table, params: GcodaParams, seed: int):
-    return gcoda_fit(table, params)
-
-
-def _run_cmimn(method, table, params: CmimnParams, seed: int):
-    return cmimn_fit(table, params)
-
-
-def _run_cclasso(method, table, params: CclassoParams, seed: int):
-    return cclasso_fit(table, params, seed=seed)
+def _unseeded(fit):
+    """A deterministic fit under the registry's call, which passes a seed."""
+    return lambda table, params, seed: fit(table, params)
 
 
 _ABS_RULE = BinarizationRule(kind="abs_threshold", threshold=0.3)
 _NATIVE_RULE = BinarizationRule(kind="native_sparse")
 
 _REGISTRY = {
-    "pearson": (CorrelationParams, _run_correlation, _ABS_RULE),
-    "spearman": (CorrelationParams, _run_correlation, _ABS_RULE),
-    "bicor": (CorrelationParams, _run_correlation, _ABS_RULE),
-    "sparcc": (SparccParams, _run_sparcc, _ABS_RULE),
-    "spieceasi_mb": (SpieceasiParams, _run_spieceasi_mb, _NATIVE_RULE),
-    "spieceasi_glasso": (SpieceasiParams, _run_spieceasi_glasso, _NATIVE_RULE),
-    "spring": (SpringParams, _run_spring, _NATIVE_RULE),
-    "gcoda": (GcodaParams, _run_gcoda, _NATIVE_RULE),
-    "cmimn": (CmimnParams, _run_cmimn, _NATIVE_RULE),
+    "pearson": (CorrelationParams, _correlation("pearson"), _ABS_RULE),
+    "spearman": (CorrelationParams, _correlation("spearman"), _ABS_RULE),
+    "bicor": (CorrelationParams, _correlation("bicor"), _ABS_RULE),
+    "sparcc": (SparccParams, sparcc_fit, _ABS_RULE),
+    "spieceasi_mb": (SpieceasiParams, partial(spieceasi_fit, mode="mb"), _NATIVE_RULE),
+    "spieceasi_glasso": (SpieceasiParams, partial(spieceasi_fit, mode="glasso"), _NATIVE_RULE),
+    "spring": (SpringParams, spring_fit, _NATIVE_RULE),
+    "gcoda": (GcodaParams, _unseeded(gcoda_fit), _NATIVE_RULE),
+    "cmimn": (CmimnParams, _unseeded(cmimn_fit), _NATIVE_RULE),
     "cclasso": (
         CclassoParams,
-        _run_cclasso,
+        cclasso_fit,
         BinarizationRule(kind="pvalue", alpha=0.05, threshold=0.3),
     ),
 }
@@ -174,11 +148,14 @@ def run_method(
     bootstrap); deterministic methods ignore it.
     """
     _require(method)
-    cls, runner, _ = _REGISTRY[method]
+    cls, fit, _ = _REGISTRY[method]
     if params is None:
         params = cls()
     elif not isinstance(params, cls):
         raise EstimatorError(
             f"{method} expects {cls.__name__}, got {type(params).__name__}"
         )
-    return runner(method, table, params, 0 if seed is None else int(seed))
+    out = fit(table, params=params, seed=0 if seed is None else int(seed))
+    if isinstance(out, MethodResult):
+        return out
+    return MethodResult(method=method, params=asdict(params), taxa=list(table.taxa), weighted=out)

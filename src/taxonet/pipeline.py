@@ -63,8 +63,8 @@ LAYOUTS_NAME = "layouts.json"
 
 # With jobs > 1 these methods go to the workers first, in this order, and
 # the rest follow in roster order, so the longest job never starts last.
-# Seconds in a traced run on the 20-taxon acceptance table (two cores):
-# gcoda 6.66, spieceasi_glasso 1.26, every other method 0.10 or less.
+# Seconds in the manifests of seed-7 acceptance-p20 bench rounds (a 2-core
+# VM): gcoda 0.7-0.9, spieceasi_glasso 0.4-0.7, every other method 0.1 or less.
 LONGEST_FIRST = ("gcoda", "spieceasi_glasso")
 
 
@@ -208,6 +208,23 @@ def read_labeled_matrix(path):
     return labels, values
 
 
+def render_run(c: WeightedConsensus, out, seed: int, layouts: dict, hamming) -> list[str]:
+    """Draw a run's SVGs into ``out`` and return their paths: one network
+    per threshold, the union network, and, when ``hamming`` holds the
+    disagreement matrix's labels and values, its heatmap.  The networks
+    share ``layouts`` (see :func:`render.render_network_svg`)."""
+    paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
+    union = threshold_network(c, 0)
+    paths.append(os.path.join(out, "consensus_network.svg"))
+    render_network_svg(union, seed, paths[-1],
+                       title=f"consensus union: {union.n_edges} edges", layouts=layouts)
+    if hamming is not None:
+        labels, h = hamming
+        paths.append(os.path.join(out, "hamming_heatmap.svg"))
+        render_hamming_heatmap(h, labels, paths[-1])
+    return paths
+
+
 def write_artifacts(run: PipelineRun) -> list[str]:
     out = run.out_dir
     written: list[str] = []
@@ -229,21 +246,8 @@ def write_artifacts(run: PipelineRun) -> list[str]:
         write_text(record("hamming_matrix.tsv"),
                     labeled_matrix_text(c.methods, run.hamming, "method"))
         layouts: dict = {}
-        panel_paths, _ = render_threshold_panel(
-            c, out, layout_seed=run.config.seed, layouts=layouts
-        )
-        written.extend(os.path.basename(p) for p in panel_paths)
-        union = threshold_network(c, 0)
-        render_network_svg(
-            union,
-            run.config.seed,
-            record("consensus_network.svg"),
-            title=f"consensus union: {union.n_edges} edges",
-            layouts=layouts,
-        )
-        render_hamming_heatmap(
-            run.hamming, list(c.methods), record("hamming_heatmap.svg")
-        )
+        paths = render_run(c, out, run.config.seed, layouts, (list(c.methods), run.hamming))
+        written.extend(os.path.basename(p) for p in paths)
         # floats are written in their shortest exact repr, so they read back bit for bit
         write_text(record(LAYOUTS_NAME), json.dumps(
             {key: pos.tolist() for key, pos in layouts.items()}, sort_keys=True) + "\n")
@@ -343,7 +347,10 @@ def read_layouts(path) -> dict | None:
     not a JSON object of numeric arrays."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return {key: np.asarray(pos, dtype=float) for key, pos in dict(json.load(fh)).items()}
+            record = json.load(fh)
+        if not isinstance(record, dict):
+            raise TypeError(f"holds a {type(record).__name__}, not an object")
+        return {key: np.asarray(pos, dtype=float) for key, pos in record.items()}
     except (OSError, TypeError, ValueError) as exc:
         log.warning("cannot read the recorded layouts in %s: %s", path, exc)
         return None

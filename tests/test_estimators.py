@@ -111,6 +111,20 @@ class TestSpring:
         assert fit.weighted.shape == (6, 6)
         np.testing.assert_allclose(np.diag(fit.weighted), 1.0)
 
+    def test_four_samples_fit_on_three_row_subsamples(self, monkeypatch):
+        # the 4-sample floor is the full table's; StARS subsamples of it keep 3 rows
+        rows = []
+        kendall = estimators.kendall_matrix
+        monkeypatch.setattr(estimators, "kendall_matrix",
+                            lambda x: rows.append(len(x)) or kendall(x))
+        table = make_table(np.random.default_rng(0).integers(1, 50, size=(4, 6)))
+        fit = spring_fit(table)
+        assert set(rows) == {3, 4}
+        adj = fit.network.adj
+        assert adj.shape == (6, 6) and (adj == adj.T).all() and not np.diag(adj).any()
+        assert np.isfinite(fit.weighted).all()
+        assert np.isfinite(fit.selection["instability"]).all()
+
 
 def full_path_stars(x, fitter, path, params):
     """StARS without the early stop: every penalty fitted on every

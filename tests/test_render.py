@@ -375,7 +375,7 @@ class TestOneLayoutPerNetwork:
 
     @pytest.mark.parametrize("damage, affected", [
         ("deleted", 2), ("not_json", 2), ("not_an_object", 2), ("nan_entry", 1),
-        ("misshapen_entry", 1), ("ragged_entry", 2), ("other_seed", 2),
+        ("misshapen_entry", 1), ("ragged_entry", 2), ("other_seed", 2), ("pairs_list", 2),
     ])
     def test_render_lays_out_what_the_record_does_not_cover(
         self, tmp_path, monkeypatch, caplog, damage, affected
@@ -396,6 +396,9 @@ class TestOneLayoutPerNetwork:
         elif damage == "ragged_entry":
             # not an array at all, so the record as a whole is unreadable
             self._first_entry(record, [[0.5], [0.5, 0.5]])
+        elif damage == "pairs_list":
+            # the record's own entries, but as a JSON array of [key, positions] pairs
+            record.write_text(json.dumps(list(json.loads(record.read_text()).items())))
         else:
             self.run(tmp_path / "other", monkeypatch, seed=self.seed + 1)
             shutil.copy(tmp_path / "other" / "layouts.json", record)
