@@ -12,10 +12,10 @@ Verbs::
 ``run`` executes the full pipeline.  Its flags set the config keys of the
 same name (``--out`` sets ``output``) over the config file's entries.  The
 other verbs operate on a finished run directory; ``render`` redraws the
-SVGs and lays out, with the manifest's seed, only the networks that
-``layouts.json`` does not cover.  Exit codes: 0 clean, 2 usage or data
-errors, 3 when one or more methods failed (the consensus of the survivors
-is still written).
+SVGs at the union layout that ``layouts.json`` records, and lays the union
+out afresh with the manifest's seed when that file cannot be used.  Exit
+codes: 0 clean, 2 usage or data errors, 3 when one or more methods failed
+(the consensus of the survivors is still written).
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from .pipeline import (
     labeled_matrix_text,
     load_consensus,
     read_labeled_matrix,
-    read_layouts,
+    read_layout,
     read_manifest,
     render_run,
     run_pipeline,
     sweep_text,
 )
-# nothing here calls them; kept because bench/layers.py wraps these attributes
+from .render import union_layout
+# nothing here calls these; kept because bench/layers.py wraps these attributes
 from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
 
 
@@ -152,20 +153,19 @@ def _cmd_render(args) -> int:
     out = _out_dir(args)
     c = load_consensus(out)
     seed = read_manifest(out).get("seed")
-    if not isinstance(seed, int):
-        raise ConsensusError(f"the run manifest in {out} records no seed")
-    layouts_path = os.path.join(out, LAYOUTS_NAME)
-    recorded = read_layouts(layouts_path)
-    layouts = dict(recorded or {})
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConsensusError(f"the run manifest in {out} has seed {seed!r}, not an integer >= 0")
+    try:
+        pos = read_layout(os.path.join(out, LAYOUTS_NAME), c, seed)
+        source = f"layout read from {LAYOUTS_NAME}"
+    except ConsensusError as exc:
+        logging.getLogger("taxonet").warning("%s; laid the union out afresh", exc)
+        _, pos = union_layout(c, seed)
+        source = "union laid out afresh"
     ham = os.path.join(out, "hamming_matrix.tsv")
     hamming = read_labeled_matrix(ham) if os.path.exists(ham) else None
-    paths = render_run(c, out, seed, layouts, hamming)
-    fresh = sum(pos is not (recorded or {}).get(key) for key, pos in layouts.items())
-    if fresh and recorded is not None:
-        logging.getLogger("taxonet").warning(
-            "%s did not hold %d of the layouts drawn; laid them out afresh", layouts_path, fresh)
-    print(f"rendered {len(paths)} images in {out} "
-          f"({len(recorded or {})} layouts read from {LAYOUTS_NAME}, {fresh} laid out)")
+    paths = render_run(c, out, pos, hamming)
+    print(f"rendered {len(paths)} images in {out} ({source})")
     return 0
 
 

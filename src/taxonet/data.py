@@ -169,8 +169,12 @@ def clr_transform(table: CountTable, pseudo: float = 0.5) -> np.ndarray:
     if pseudo == 0 and (v == 0).any():
         raise TransformError("pseudo=0 requires a table without zeros")
     shifted = v + pseudo
-    comp = shifted / shifted.sum(axis=1, keepdims=True)
-    # a row sum that overflows to inf closes its cells to 0
+    try:  # a row sum that overflows to inf would close its cells to 0
+        with np.errstate(over="raise"):
+            comp = shifted / shifted.sum(axis=1, keepdims=True)
+    except FloatingPointError as exc:
+        raise TransformError(
+            "composition entries must be strictly positive: a row sum overflows") from exc
     if (comp <= 0).any():
         raise TransformError("composition entries must be strictly positive")
     logs = np.log(comp)

@@ -22,6 +22,9 @@ class BinaryNetwork:
 
     def __post_init__(self):
         a = np.asarray(self.adj)
+        # checked before the cast, which would wrap 256 round to 0
+        if not np.isin(a, (0, 1)).all():
+            raise ConsensusError("adjacency entries must be 0 or 1")
         if a.dtype != np.int8:
             a = a.astype(np.int8)
         object.__setattr__(self, "adj", a)
@@ -32,8 +35,6 @@ class BinaryNetwork:
             raise ConsensusError("adjacency must be exactly symmetric")
         if np.diag(a).any():
             raise ConsensusError("adjacency diagonal must be zero")
-        if not np.isin(a, (0, 1)).all():
-            raise ConsensusError("adjacency entries must be 0 or 1")
 
     @property
     def n_edges(self) -> int:

@@ -8,10 +8,10 @@ Artifacts written to the output directory:
 - ``adjacency_<method>.tsv``  each method's binary vote
 - ``threshold_sweep.tsv``     nodes/edges at every threshold
 - ``hamming_matrix.tsv``      pairwise edge disagreements between methods
-- ``network_t<k>.svg``        one rendering per threshold
+- ``network_t<k>.svg``        one rendering per threshold, at the union's positions
 - ``consensus_network.svg``   the union network (weight >= 1)
 - ``hamming_heatmap.svg``     the disagreement matrix as a heatmap
-- ``layouts.json``            the positions behind the SVGs, for ``render``
+- ``layouts.json``            the union's one layout behind the SVGs, for ``render``
 - ``config_echo.txt``         the effective configuration, fully spelled out
 - ``manifest.json``           run record (seeds, timings, selections, failures)
 
@@ -50,11 +50,12 @@ from .data import (
     filter_taxa,
     load_count_table,
 )
-from .errors import ConsensusError, ExportError, FilterError, TaxonetError
+from .errors import ConsensusError, ExportError, FilterError, RenderError, TaxonetError
 from .exports import export_graph, write_text
 from .methods import method_seed, run_method
 from .network import BinaryNetwork, MethodResult
-from .render import render_hamming_heatmap, render_network_svg, render_threshold_panel
+from .render import (render_hamming_heatmap, render_network_svg, render_threshold_panel,
+                     union_layout)
 
 log = logging.getLogger("taxonet")
 
@@ -208,16 +209,15 @@ def read_labeled_matrix(path):
     return labels, values
 
 
-def render_run(c: WeightedConsensus, out, seed: int, layouts: dict, hamming) -> list[str]:
+def render_run(c: WeightedConsensus, out, pos: np.ndarray, hamming) -> list[str]:
     """Draw a run's SVGs into ``out`` and return their paths: one network
     per threshold, the union network, and, when ``hamming`` holds the
-    disagreement matrix's labels and values, its heatmap.  The networks
-    share ``layouts`` (see :func:`render.render_network_svg`)."""
-    paths, _ = render_threshold_panel(c, out, layout_seed=seed, layouts=layouts)
+    disagreement matrix's labels and values, its heatmap.  The networks are
+    drawn at the pixel positions ``pos`` of :func:`render.union_layout`."""
+    paths, _ = render_threshold_panel(c, out, pos)
     union = threshold_network(c, 0)
     paths.append(os.path.join(out, "consensus_network.svg"))
-    render_network_svg(union, seed, paths[-1],
-                       title=f"consensus union: {union.n_edges} edges", layouts=layouts)
+    render_network_svg(union, pos, paths[-1], title=f"consensus union: {union.n_edges} edges")
     if hamming is not None:
         labels, h = hamming
         paths.append(os.path.join(out, "hamming_heatmap.svg"))
@@ -245,12 +245,11 @@ def write_artifacts(run: PipelineRun) -> list[str]:
         write_text(record("threshold_sweep.tsv"), sweep_text(run.sweep))
         write_text(record("hamming_matrix.tsv"),
                     labeled_matrix_text(c.methods, run.hamming, "method"))
-        layouts: dict = {}
-        paths = render_run(c, out, run.config.seed, layouts, (list(c.methods), run.hamming))
+        layout, pos = union_layout(c, run.config.seed)
+        paths = render_run(c, out, pos, (list(c.methods), run.hamming))
         written.extend(os.path.basename(p) for p in paths)
         # floats are written in their shortest exact repr, so they read back bit for bit
-        write_text(record(LAYOUTS_NAME), json.dumps(
-            {key: pos.tolist() for key, pos in layouts.items()}, sort_keys=True) + "\n")
+        write_text(record(LAYOUTS_NAME), json.dumps(layout) + "\n")
 
     write_text(record("config_echo.txt"), config_to_text(run.config))
 
@@ -341,19 +340,18 @@ def read_manifest(out_dir) -> dict:
     return manifest
 
 
-def read_layouts(path) -> dict | None:
-    """The positions a run recorded in ``path``, keyed as ``render``'s
-    ``layouts``; None, with a warning naming the file, when it is missing or
-    not a JSON object of numeric arrays."""
+def read_layout(path, c: WeightedConsensus, seed: int) -> np.ndarray:
+    """The pixel positions of ``union_layout(c, seed)`` as a run recorded it
+    in ``path``; a ``ConsensusError`` naming the file when it is missing, is
+    not a JSON object or holds no usable layout of this union and seed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
         if not isinstance(record, dict):
-            raise TypeError(f"holds a {type(record).__name__}, not an object")
-        return {key: np.asarray(pos, dtype=float) for key, pos in record.items()}
-    except (OSError, TypeError, ValueError) as exc:
-        log.warning("cannot read the recorded layouts in %s: %s", path, exc)
-        return None
+            raise RenderError(f"it holds a {type(record).__name__}, not an object")
+        return union_layout(c, seed, record)[1]
+    except (OSError, ValueError, RenderError) as exc:
+        raise ConsensusError(f"cannot use the layout recorded in {path}: {exc}") from exc
 
 
 def load_consensus(out_dir) -> WeightedConsensus:
@@ -367,5 +365,5 @@ def load_consensus(out_dir) -> WeightedConsensus:
     nets = []
     for m in methods:
         labels, adj = read_labeled_matrix(os.path.join(out_dir, f"adjacency_{m}.tsv"))
-        nets.append(BinaryNetwork(adj=adj.astype(np.int8), taxa=labels))
+        nets.append(BinaryNetwork(adj=adj, taxa=labels))
     return build_consensus(nets, methods)

@@ -6,12 +6,10 @@ given (network, seed) pair produces byte-identical files on every run and
 platform.  Layout is a classic force-directed embedding run for a fixed
 number of iterations from a seeded start.
 
-One layout per distinct network: a run and the ``render`` verb each pass
-one ``layouts`` dict to all their drawings, so a network is laid out once
-however often it is drawn.  The union is drawn both as ``network_t0.svg``
-and as ``consensus_network.svg``, and consecutive thresholds often keep the
-same edges.  A run records the dict in ``layouts.json``; ``render`` starts
-from that record.
+One layout per run: the union network (t = 0) is laid out and scaled once,
+and every threshold panel and the consensus network are drawn at those
+positions, so a taxon keeps its place from panel to panel.  A run records
+the layout in ``layouts.json``; ``render`` starts from that record.
 """
 
 from __future__ import annotations
@@ -84,19 +82,36 @@ def fr_layout(adj: np.ndarray, seed: int) -> np.ndarray:
     return np.column_stack((x, y))
 
 
-def _layout(sub: np.ndarray, seed: int, layouts: dict | None) -> np.ndarray:
-    """``fr_layout(sub, seed)``, taken from ``layouts`` when it holds a
-    finite ``(k, 2)`` array under the sha256 hex of all that the layout
-    depends on: the adjacency's shape, dtype and bytes, and the seed."""
-    if layouts is None:
-        return fr_layout(sub, seed)
+def union_layout(c: WeightedConsensus, seed: int,
+                 record: dict | None = None) -> tuple[dict, np.ndarray]:
+    """The layout record of ``c``'s union network (t = 0) and each taxon's
+    pixel position, scaled once in the union's frame (nan off the union).
+
+    The record maps the sha256 hex of all that the layout depends on (the
+    adjacency of the union's connected part: shape, dtype, bytes; and the
+    seed) to ``fr_layout``'s positions of that part.  With ``record`` they are
+    read from it, and a ``RenderError`` says why when it does not hold them."""
+    union = threshold_network(c, 0)
+    keep = np.flatnonzero(union.adj.any(axis=0))
+    pixels = np.full((c.n_taxa, 2), np.nan)
+    if keep.size == 0:
+        return {}, pixels
     import hashlib  # here, so that importing the CLI does not load OpenSSL
+    sub = union.adj[np.ix_(keep, keep)]
     head = f"{sub.shape} {sub.dtype.str} {seed}\n".encode()
     key = hashlib.sha256(head + sub.tobytes()).hexdigest()
-    pos = layouts.get(key)
-    if pos is None or pos.shape != (len(sub), 2) or not np.isfinite(pos).all():
-        layouts[key] = pos = fr_layout(sub, seed)
-    return pos
+    if record is None:
+        pos = fr_layout(sub, seed)
+    else:
+        try:
+            pos = np.asarray(record.get(key), dtype=float)
+        except (TypeError, ValueError) as exc:  # a ragged or non-numeric entry
+            raise RenderError(f"its entry is not an array of numbers: {exc}") from exc
+        if pos.shape != (keep.size, 2) or not np.isfinite(pos).all():
+            raise RenderError(
+                f"it holds no finite {keep.size} x 2 layout of this union at seed {seed}")
+    pixels[keep] = _scaled(pos)
+    return {key: pos.tolist()}, pixels
 
 
 def _scaled(pos: np.ndarray) -> np.ndarray:
@@ -117,45 +132,30 @@ def _svg_open(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def render_network_svg(
-    net: BinaryNetwork,
-    layout_seed: int,
-    path,
-    title: str | None = None,
-    layouts: dict | None = None,
-) -> None:
-    """Draw the connected part of a network; isolated taxa are left out.
+def render_network_svg(net: BinaryNetwork, pos: np.ndarray, path, title: str | None = None) -> None:
+    """Draw the connected part of a network, taxon k at pixel position
+    ``pos[k]`` below the header; isolated taxa are left out.
 
-    A network with no edges at all becomes a captioned empty frame.  A
-    ``layouts`` dict shared between calls keeps each layout, so a network
-    drawn again with the same seed is not laid out again.
+    A network with no edges at all becomes a captioned empty frame.
     """
     height = CANVAS + HEADER
     label = title if title is not None else f"{net.n_edges} edges"
     lines = _svg_open(CANVAS, height, label)
-    degrees = net.adj.sum(axis=0)
-    keep = np.flatnonzero(degrees > 0)
+    keep = np.flatnonzero(net.adj.any(axis=0))
     if keep.size == 0:
         lines.append(
             f'<text x="{CANVAS // 2}" y="{height // 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16" fill="#777777">'
             "no edges above threshold</text>"
         )
-        lines.append("</svg>")
-        write_text(path, "\n".join(lines) + "\n")
-        return
-    sub = net.adj[np.ix_(keep, keep)]
-    pos = _scaled(_layout(sub, layout_seed, layouts))
-    iu, ju = np.triu_indices(len(keep), k=1)
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        if sub[i, j]:
-            lines.append(
-                f'<line x1="{pos[i, 0]:.2f}" y1="{pos[i, 1] + HEADER:.2f}" '
-                f'x2="{pos[j, 0]:.2f}" y2="{pos[j, 1] + HEADER:.2f}" '
-                'stroke="#8899aa" stroke-width="1.2"/>'
-            )
-    for idx, node in enumerate(keep.tolist()):
-        x, y = pos[idx, 0], pos[idx, 1] + HEADER
+    for i, j in zip(*np.nonzero(np.triu(net.adj, k=1))):
+        lines.append(
+            f'<line x1="{pos[i, 0]:.2f}" y1="{pos[i, 1] + HEADER:.2f}" '
+            f'x2="{pos[j, 0]:.2f}" y2="{pos[j, 1] + HEADER:.2f}" '
+            'stroke="#8899aa" stroke-width="1.2"/>'
+        )
+    for node in keep.tolist():
+        x, y = pos[node, 0], pos[node, 1] + HEADER
         lines.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="7" fill="#4c78a8" stroke="#ffffff" '
             'stroke-width="1.5"/>'
@@ -169,25 +169,18 @@ def render_network_svg(
     write_text(path, "\n".join(lines) + "\n")
 
 
-def render_threshold_panel(
-    c: WeightedConsensus, out_dir, layout_seed: int = 0, layouts: dict | None = None
-) -> tuple[list[str], list[SweepRow]]:
-    """One SVG per threshold t = 0 .. M-1, each annotated with the node and
-    edge counts of its thresholded network.  Returns the file paths and the
-    matching sweep table.  With a ``layouts`` dict, thresholds that keep the
-    same network share one layout, and so do other drawings given the dict."""
+def render_threshold_panel(c: WeightedConsensus, out_dir,
+                           pos: np.ndarray) -> tuple[list[str], list[SweepRow]]:
+    """One SVG per threshold t = 0 .. M-1, each drawn at the pixel positions
+    ``pos`` of :func:`union_layout` and annotated with the node and edge
+    counts of its thresholded network.  Returns the file paths and the
+    matching sweep table."""
     rows = threshold_sweep(c)
     paths = []
     for row in rows:
-        net = threshold_network(c, row.t)
         name = os.path.join(out_dir, f"network_t{row.t}.svg")
-        render_network_svg(
-            net,
-            layout_seed,
-            name,
-            title=f"t={row.t}: {row.connected_node_count} nodes, {row.edge_count} edges",
-            layouts=layouts,
-        )
+        title = f"t={row.t}: {row.connected_node_count} nodes, {row.edge_count} edges"
+        render_network_svg(threshold_network(c, row.t), pos, name, title=title)
         paths.append(name)
     return paths, rows
 

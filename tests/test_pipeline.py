@@ -7,6 +7,7 @@ fast; the all-methods run lives in the acceptance suite.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from taxonet import pipeline
 from taxonet.cli import main
 from taxonet.config import build_config, parse_config_text
 from taxonet.errors import ConsensusError, EstimatorError, FilterError
@@ -85,6 +87,14 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         on_disk = sorted(p.name for p in out.iterdir())
         assert manifest["artifacts"] == on_disk
+
+    def test_every_artifact_is_described_in_the_module_docstring(self, finished_run):
+        described = re.findall(r"^- ``([^`]+)``", pipeline.__doc__, flags=re.MULTILINE)
+        # a <placeholder> such as <method> stands for any name
+        patterns = [re.sub(r"<\w+>", lambda _: r"\w+", re.escape(name)) for name in described]
+        manifest = json.loads((finished_run[1] / "manifest.json").read_text())
+        for name in manifest["artifacts"]:
+            assert any(re.fullmatch(p, name) for p in patterns), name
 
     def test_consensus_weights_stay_within_method_count(self, finished_run):
         run, _ = finished_run
@@ -594,6 +604,30 @@ class TestCli:
         assert main(verb + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cannot read run artifact" in err and "adjacency_spearman.tsv" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "true", "1.5", "null"])
+    def test_render_rejects_a_recorded_seed_that_is_not_a_nonnegative_integer(
+        self, finished_run, tmp_path, capsys, seed
+    ):
+        out = self.run_copy(finished_run, tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["seed"] = json.loads(seed)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "layouts.json").unlink()
+        assert main(["render", "--out", str(out)]) == 2
+        assert f"has seed {json.loads(seed)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["256", "257", "-1"])
+    def test_adjacency_entry_that_is_not_0_or_1_exits_2(
+        self, finished_run, tmp_path, capsys, value
+    ):
+        out = self.run_copy(finished_run, tmp_path)
+        path = out / "adjacency_spearman.tsv"
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        rows[1][2] = rows[2][1] = value
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        assert main(["sweep", "--out", str(out)]) == 2
+        assert "0 or 1" in capsys.readouterr().err
 
     def test_render_skips_an_absent_hamming_matrix_but_not_a_malformed_one(
         self, finished_run, tmp_path, capsys

@@ -1,5 +1,5 @@
 """SVG rendering: deterministic bytes, glyph counts, panel annotations, the
-heatmap parse-back oracle, and one layout per distinct network."""
+heatmap parse-back oracle, and one layout per run."""
 
 import hashlib
 import json
@@ -26,6 +26,7 @@ from taxonet.render import (
     render_hamming_heatmap,
     render_network_svg,
     render_threshold_panel,
+    union_layout,
 )
 
 from conftest import make_table
@@ -45,6 +46,12 @@ def net_from_pairs(p, pairs, taxa=None):
 def svg_elements(path, local_name):
     root = ET.parse(path).getroot()
     return [el for el in root.iter() if el.tag.endswith("}" + local_name)]
+
+
+def positions(net, seed):
+    """Pixel positions of ``net`` laid out as the union of a consensus of
+    two copies of it."""
+    return union_layout(build_consensus([net, net], ["a", "b"]), seed)[1]
 
 
 def reference_fr_layout(adj, seed, iterations=render.LAYOUT_ITERATIONS):
@@ -135,13 +142,25 @@ class TestNetworkSvg:
     def test_fixed_seed_is_byte_identical(self, tmp_path):
         net = net_from_pairs(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_network_svg(net, 7, a)
-        render_network_svg(net, 7, b)
+        render_network_svg(net, positions(net, 7), a)
+        render_network_svg(net, positions(net, 7), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_taxa_are_drawn_at_the_given_positions(self, tmp_path):
+        net = net_from_pairs(5, [(0, 1), (1, 3)])
+        pos = np.array([[60.0, 70.0], [80.5, 90.25], [0.0, 0.0], [300.125, 400.0], [1.0, 2.0]])
+        path = tmp_path / "given.svg"
+        render_network_svg(net, pos, path)
+        circles = [(el.get("cx"), el.get("cy")) for el in svg_elements(path, "circle")]
+        header = render.HEADER
+        assert circles == [(f"{pos[k, 0]:.2f}", f"{pos[k, 1] + header:.2f}") for k in (0, 1, 3)]
+        ends = [(el.get("x1"), el.get("x2")) for el in svg_elements(path, "line")]
+        assert ends == [("60.00", "80.50"), ("80.50", "300.12")]
 
     def test_no_edges_gives_caption_and_no_glyphs(self, tmp_path):
         path = tmp_path / "empty.svg"
-        render_network_svg(net_from_pairs(5, []), 0, path)
+        net = net_from_pairs(5, [])
+        render_network_svg(net, positions(net, 0), path)
         text = path.read_text()
         assert "no edges above threshold" in text
         assert len(svg_elements(path, "circle")) == 0
@@ -149,13 +168,15 @@ class TestNetworkSvg:
 
     def test_triangle_has_three_glyphs_and_three_edges(self, tmp_path):
         path = tmp_path / "tri.svg"
-        render_network_svg(net_from_pairs(3, [(0, 1), (1, 2), (0, 2)]), 1, path)
+        net = net_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        render_network_svg(net, positions(net, 1), path)
         assert len(svg_elements(path, "circle")) == 3
         assert len(svg_elements(path, "line")) == 3
 
     def test_isolated_taxa_are_omitted(self, tmp_path):
         path = tmp_path / "partial.svg"
-        render_network_svg(net_from_pairs(6, [(0, 3)]), 2, path)
+        net = net_from_pairs(6, [(0, 3)])
+        render_network_svg(net, positions(net, 2), path)
         assert len(svg_elements(path, "circle")) == 2
         labels = {el.text for el in svg_elements(path, "text")}
         assert "t0" in labels and "t3" in labels
@@ -163,7 +184,8 @@ class TestNetworkSvg:
 
     def test_output_is_well_formed_xml(self, tmp_path):
         path = tmp_path / "net.svg"
-        render_network_svg(net_from_pairs(4, [(0, 1), (2, 3)]), 5, path)
+        net = net_from_pairs(4, [(0, 1), (2, 3)])
+        render_network_svg(net, positions(net, 5), path)
         root = ET.parse(path).getroot()
         assert root.tag.endswith("}svg")
 
@@ -177,6 +199,10 @@ class TestThresholdPanel:
         ]
         return build_consensus(nets, methods=["a", "b", "c"])
 
+    @staticmethod
+    def panel(cons, out):
+        return render_threshold_panel(cons, out, union_layout(cons, 0)[1])
+
     def parse_annotation(self, path):
         title = svg_elements(path, "text")[0].text
         m = re.fullmatch(r"t=(\d+): (\d+) nodes, (\d+) edges", title)
@@ -185,13 +211,13 @@ class TestThresholdPanel:
 
     def test_one_panel_per_threshold(self, tmp_path):
         cons = self.hand_consensus()
-        paths, rows = render_threshold_panel(cons, tmp_path)
+        paths, rows = self.panel(cons, tmp_path)
         assert len(paths) == cons.n_methods
         assert [r.t for r in rows] == [0, 1, 2]
 
     def test_annotations_match_the_sweep_table(self, tmp_path):
         cons = self.hand_consensus()
-        paths, rows = render_threshold_panel(cons, tmp_path)
+        paths, rows = self.panel(cons, tmp_path)
         for path, row in zip(paths, rows):
             assert self.parse_annotation(path) == (
                 row.t,
@@ -202,7 +228,7 @@ class TestThresholdPanel:
 
     def test_last_panel_annotation_equals_last_sweep_row(self, tmp_path):
         cons = self.hand_consensus()
-        paths, rows = render_threshold_panel(cons, tmp_path)
+        paths, rows = self.panel(cons, tmp_path)
         last = rows[-1]
         assert self.parse_annotation(paths[-1]) == (
             cons.n_methods - 1,
@@ -273,9 +299,9 @@ class TestHammingHeatmap:
         assert a.read_bytes() == b.read_bytes()
 
 
-# Four methods vote so that the union (t=0) has three edges, t=1 and t=2
-# keep the same two edges and t=3 keeps none: two distinct networks to lay
-# out, where drawing without a memo lays out four.
+# Four methods vote so that the union (t=0) has three edges over five taxa,
+# t=1 and t=2 keep two of them over three taxa and t=3 keeps none: three
+# panels with edges and one union layout behind them all.
 LAYOUT_VOTES = {
     "pearson": [(0, 1), (1, 2), (3, 4)],
     "spearman": [(0, 1), (1, 2)],
@@ -296,7 +322,14 @@ def vote_result(method, table, params=None, seed=None):
     )
 
 
-class TestOneLayoutPerNetwork:
+def union_part(c):
+    """The union's connected taxa and the adjacency among them."""
+    union = threshold_network(c, 0)
+    keep = np.flatnonzero(union.adj.any(axis=0))
+    return keep, union.adj[np.ix_(keep, keep)]
+
+
+class TestOneLayoutPerRun:
     seed = 3
 
     def run(self, out, monkeypatch, seed=seed):
@@ -319,53 +352,60 @@ class TestOneLayoutPerNetwork:
         monkeypatch.setattr(render, "fr_layout", counted)
         return calls
 
-    def distinct_networks(self, c):
-        keys = set()
-        for t in range(c.n_methods):
-            adj = threshold_network(c, t).adj
-            keep = np.flatnonzero(adj.sum(axis=0) > 0)
-            if keep.size:
-                keys.add((adj[np.ix_(keep, keep)].tobytes(), self.seed))
-        return keys
+    def union_call(self, c):
+        return {(union_part(c)[1].tobytes(), self.seed): 1}
 
     def svgs(self, out):
         return {p.name: p.read_bytes() for p in sorted(out.glob("*.svg"))}
 
-    def test_write_artifacts_lays_out_each_distinct_network_once(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_run_lays_out_the_union_once(self, tmp_path, monkeypatch):
         calls = self.count_layouts(monkeypatch)
         run = self.run(tmp_path, monkeypatch)
-        assert set(calls) == self.distinct_networks(run.consensus)
-        assert len(calls) == 2
-        assert set(calls.values()) == {1}
-
-    def test_render_verb_lays_out_each_distinct_network_once(
-        self, tmp_path, monkeypatch
-    ):
-        run = self.run(tmp_path, monkeypatch)
-        (tmp_path / "layouts.json").unlink()
-        calls = self.count_layouts(monkeypatch)
-        assert main(["render", "--out", str(tmp_path)]) == 0
-        assert set(calls) == self.distinct_networks(run.consensus)
-        assert set(calls.values()) == {1}
+        assert calls == self.union_call(run.consensus)
 
     def test_render_after_run_lays_out_nothing(self, tmp_path, monkeypatch, capsys):
         run = self.run(tmp_path, monkeypatch)
         svgs = self.svgs(tmp_path)
+        assert len(svgs) == 6
         recorded = json.loads((tmp_path / "layouts.json").read_text())
         # keyed by the sha256 of the laid-out adjacency's shape, dtype, bytes and seed
-        assert set(recorded) == {
-            hashlib.sha256(f"{(k, k)} |i1 {seed}\n".encode() + adj).hexdigest()
-            for adj, seed in self.distinct_networks(run.consensus)
-            for k in [round(len(adj) ** 0.5)]
-        }
+        keep, sub = union_part(run.consensus)
+        key = hashlib.sha256(f"{sub.shape} |i1 {self.seed}\n".encode() + sub.tobytes())
+        assert list(recorded) == [key.hexdigest()]
+        assert np.shape(recorded[key.hexdigest()]) == (keep.size, 2)
         capsys.readouterr()
         calls = self.count_layouts(monkeypatch)
         assert main(["render", "--out", str(tmp_path)]) == 0
         assert not calls
         assert self.svgs(tmp_path) == svgs
-        assert "(2 layouts read from layouts.json, 0 laid out)" in capsys.readouterr().out
+        assert "(layout read from layouts.json)" in capsys.readouterr().out
+
+    def test_each_taxon_keeps_its_position_in_every_panel(self, tmp_path, monkeypatch):
+        run = self.run(tmp_path, monkeypatch)
+        seen = {}
+        for name in sorted(self.svgs(tmp_path)):
+            if name == "hamming_heatmap.svg":
+                continue
+            circles = svg_elements(tmp_path / name, "circle")
+            labels = [el.text for el in svg_elements(tmp_path / name, "text")
+                      if el.get("font-size") == "10"]
+            assert len(labels) == len(circles)
+            for label, circle in zip(labels, circles):
+                seen.setdefault(label, set()).add((circle.get("cx"), circle.get("cy")))
+        keep, _ = union_part(run.consensus)
+        assert sorted(seen) == [run.consensus.taxa[k] for k in keep]
+        assert all(len(places) == 1 for places in seen.values())
+
+    def test_union_drawings_match_the_reference_layout(self, tmp_path, monkeypatch):
+        run = self.run(tmp_path, monkeypatch)
+        keep, sub = union_part(run.consensus)
+        pos = np.full((run.consensus.n_taxa, 2), np.nan)
+        pos[keep] = render._scaled(reference_fr_layout(sub, self.seed))
+        union = threshold_network(run.consensus, 0)
+        for name in ("network_t0.svg", "consensus_network.svg"):
+            title = svg_elements(tmp_path / name, "text")[0].text
+            render_network_svg(union, pos, tmp_path / "reference.svg", title=title)
+            assert (tmp_path / "reference.svg").read_bytes() == (tmp_path / name).read_bytes()
 
     @staticmethod
     def _first_entry(path, value):
@@ -374,10 +414,11 @@ class TestOneLayoutPerNetwork:
         path.write_text(json.dumps(recorded))
 
     @pytest.mark.parametrize("damage, affected", [
-        ("deleted", 2), ("not_json", 2), ("not_an_object", 2), ("nan_entry", 1),
-        ("misshapen_entry", 1), ("ragged_entry", 2), ("other_seed", 2), ("pairs_list", 2),
+        ("deleted", 1), ("not_json", 1), ("not_an_object", 1), ("nan_entry", 1),
+        ("misshapen_entry", 1), ("ragged_entry", 1), ("object_entry", 1), ("other_seed", 1),
+        ("other_union", 1), ("pairs_list", 1), ("extra_entry", 0),
     ])
-    def test_render_lays_out_what_the_record_does_not_cover(
+    def test_render_lays_out_the_union_when_the_record_does_not_hold_it(
         self, tmp_path, monkeypatch, caplog, damage, affected
     ):
         run = self.run(tmp_path, monkeypatch)
@@ -390,38 +431,35 @@ class TestOneLayoutPerNetwork:
         elif damage == "not_an_object":
             record.write_text("[1, 2]")
         elif damage == "nan_entry":
-            self._first_entry(record, [[float("nan"), 0.5]] * 3)
+            self._first_entry(record, [[float("nan"), 0.5]] * 5)
         elif damage == "misshapen_entry":
             self._first_entry(record, [[0.5, 0.5, 0.5]])
         elif damage == "ragged_entry":
-            # not an array at all, so the record as a whole is unreadable
             self._first_entry(record, [[0.5], [0.5, 0.5]])
+        elif damage == "object_entry":
+            self._first_entry(record, {"x": 0.5})
         elif damage == "pairs_list":
-            # the record's own entries, but as a JSON array of [key, positions] pairs
+            # the record's own entry, but as a JSON array of [key, positions] pairs
             record.write_text(json.dumps(list(json.loads(record.read_text()).items())))
+        elif damage == "extra_entry":
+            # an entry nothing looks up is no damage
+            recorded = json.loads(record.read_text())
+            recorded["0" * 64] = [[float("nan")]]
+            record.write_text(json.dumps(recorded))
+        elif damage == "other_union":
+            # a union of as many taxa, so only its key tells it apart
+            chain = net_from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+            other, _ = union_layout(build_consensus([chain, chain], ["a", "b"]), self.seed)
+            record.write_text(json.dumps(other))
         else:
             self.run(tmp_path / "other", monkeypatch, seed=self.seed + 1)
             shutil.copy(tmp_path / "other" / "layouts.json", record)
         calls = self.count_layouts(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="taxonet"):
             assert main(["render", "--out", str(tmp_path)]) == 0
-        assert len(calls) == affected
-        assert set(calls) <= self.distinct_networks(run.consensus)
-        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == affected
+        assert calls.keys() <= self.union_call(run.consensus).keys()
         assert self.svgs(tmp_path) == svgs
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1 and str(record) in warnings[0].getMessage()
-
-    def test_svg_bytes_equal_an_unmemoized_run(self, tmp_path, monkeypatch):
-        memo_dir = tmp_path / "memo"
-        self.run(memo_dir, monkeypatch)
-        memo = self.svgs(memo_dir)
-        assert "network_t3.svg" in memo and "consensus_network.svg" in memo
-        assert main(["render", "--out", str(memo_dir)]) == 0
-        assert self.svgs(memo_dir) == memo
-        # every drawing laid out afresh by the (p, p, 2) reference
-        monkeypatch.setattr(
-            render, "_layout", lambda sub, seed, layouts: reference_fr_layout(sub, seed)
-        )
-        self.run(tmp_path / "plain", monkeypatch)
-        assert self.svgs(tmp_path / "plain") == memo
+        assert len(warnings) == affected
+        assert all(str(record) in w.getMessage() for w in warnings)
